@@ -8,6 +8,19 @@ TypeContext::TypeContext(const ddg::Ddg& ddg, ddg::RegType type)
     : ddg_(&ddg), type_(type), values_(ddg, type),
       lp_(std::make_shared<graph::LongestPaths>(ddg.graph())) {
   ddg.validate();
+  const graph::Digraph& g = ddg.graph();
+  const int n = g.node_count();
+  arc_begin_.assign(n + 1, 0);
+  in_degree_.assign(n, 0);
+  arcs_.reserve(g.edge_count());
+  for (ddg::NodeId v = 0; v < n; ++v) {
+    for (const graph::EdgeId e : g.out_edges(v)) {
+      const graph::Edge& ed = g.edge(e);
+      arcs_.push_back(Arc{ed.dst, ed.latency});
+      ++in_degree_[ed.dst];
+    }
+    arc_begin_[v + 1] = static_cast<int>(arcs_.size());
+  }
   const int k = values_.count();
   cons_.reserve(k);
   pkill_.reserve(k);

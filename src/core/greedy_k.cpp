@@ -86,9 +86,9 @@ RsEstimate greedy_k(const TypeContext& ctx, const GreedyOptions& opts,
     }
     est.killing.killer[i] = best;
   }
-  RS_CHECK(is_valid_killing(ctx, est.killing));
-
-  auto need = killing_need(ctx, est.killing);
+  KillingWorkspace workspace(ctx);
+  RS_CHECK(workspace.valid(est.killing));
+  auto need = workspace.need(est.killing);
   RS_CHECK(need.has_value());
 
   // Phase 2: steepest-ascent refinement, first-improvement per value. The
@@ -107,9 +107,9 @@ RsEstimate greedy_k(const TypeContext& ctx, const GreedyOptions& opts,
         }
         if (cand == current) continue;
         est.killing.killer[i] = cand;
-        const auto trial = killing_need(ctx, est.killing);
+        auto trial = workspace.need(est.killing);
         if (trial.has_value() && trial->need > need->need) {
-          need = trial;
+          need = std::move(trial);
           improved = true;
           break;  // keep cand
         }

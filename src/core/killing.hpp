@@ -13,13 +13,22 @@
 // Theorem [CC'01]: sets of values that can be simultaneously alive under
 // schedules of G->k are exactly the antichains of DV_k's reachability
 // order, so RN_k = maximum antichain, and RS = max over valid k of RN_k.
+//
+// Cost of one RN_k evaluation (V ops, E arcs, n values, q distinct
+// killers): O(q*(V+E)) longest paths plus O(n^3/64) DV reachability plus
+// Hopcroft-Karp on at most n^2 comparable pairs. The searches (rs_exact,
+// greedy_k) evaluate thousands of killing functions on one context and
+// keep one KillingWorkspace for all of them; the free functions below
+// build a throwaway workspace per call.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "core/context.hpp"
 #include "graph/digraph.hpp"
+#include "graph/matching.hpp"
 #include "sched/schedule.hpp"
 
 namespace rs::core {
@@ -62,6 +71,62 @@ struct KillingNeed {
 /// (more assignments only add DV arcs).
 std::optional<KillingNeed> killing_need(const TypeContext& ctx,
                                         const KillingFunction& k);
+
+/// Reusable state for evaluating many killing functions of one context.
+/// Sized once at construction and reused by every call, it never copies
+/// the DDG:
+///  * G->k is the context's out_arcs() plus a killer-arc overlay, rebuilt
+///    per call in O(V + overlay);
+///  * one Kahn sort of G->k both decides validity and orders the sweeps;
+///  * single-source longest paths run from the distinct killers only, over
+///    a graph already known to be acyclic (no circuit check);
+///  * DV_k and its reachability are flat n x n bitsets, and Hopcroft-Karp
+///    runs on a reused matching fed straight from the reachability bits.
+/// Results equal the free functions' bit for bit, antichain members
+/// included. The workspace borrows the context, which must outlive it;
+/// one workspace serves one thread.
+class KillingWorkspace {
+ public:
+  explicit KillingWorkspace(const TypeContext& ctx);
+
+  /// Same as is_valid_killing(ctx, k).
+  bool valid(const KillingFunction& k);
+  /// Same as killing_need(ctx, k).
+  std::optional<KillingNeed> need(const KillingFunction& k);
+  /// Same as disjoint_value_dag(ctx, k).
+  std::optional<graph::Digraph> dv_dag(const KillingFunction& k);
+
+ private:
+  /// Fills the DV_k arc rows; false when k is invalid.
+  bool load(const KillingFunction& k);
+  /// Kahn sort of G->k into order_/pos_; false on a circuit.
+  bool sort_extended_graph(const KillingFunction& k);
+  /// Longest paths from `killer` in G->k, written to out[value index].
+  void sweep_from(ddg::NodeId killer, std::int64_t* out);
+
+  std::uint64_t* row(std::vector<std::uint64_t>& rows, int i) {
+    return rows.data() + static_cast<std::size_t>(i) * words_;
+  }
+
+  const TypeContext& ctx_;
+  int nodes_;
+  int values_;
+  std::size_t words_;  // 64-bit words per DV bitset row
+  // G->k overlay, grouped by source: arcs other -> k(u).
+  std::vector<int> overlay_begin_;
+  std::vector<TypeContext::Arc> overlay_;
+  std::vector<int> indegree_;
+  std::vector<ddg::NodeId> order_;  // topological order of G->k
+  std::vector<int> pos_;            // node -> position in order_
+  std::vector<std::int64_t> dist_;  // indexed by position
+  std::vector<int> slot_;           // killer -> row of value_dist_, or -1
+  std::vector<std::int64_t> value_dist_;
+  std::vector<std::int64_t> delta_w_;  // per value
+  std::vector<std::uint64_t> arcs_;    // DV_k arcs, n rows
+  std::vector<std::uint64_t> reach_;   // DV_k reachability, n rows
+  std::vector<int> dv_order_;
+  graph::BipartiteMatching matching_;
+};
 
 /// Constructs the saturating-schedule certificate: a valid schedule of the
 /// ORIGINAL DDG under which all antichain values are simultaneously alive

@@ -25,9 +25,9 @@ MinRegResult minimize_register_need(const TypeContext& ctx,
   // "minimal-need DAG" this function promises would be cyclic. Compose
   // with any caller-provided filter.
   SrcOptions filtered = opts;
-  filtered.leaf_filter = [&ctx, mode, &opts](const sched::Schedule& s) {
+  filtered.leaf_filter = [&ctx, &opts](const sched::Schedule& s) {
     if (opts.leaf_filter && !opts.leaf_filter(s)) return false;
-    return extend_by_schedule(ctx, s, mode).is_dag;
+    return extension_is_dag(ctx, s);
   };
   for (int r = 1; r <= ctx.value_count(); ++r) {
     SrcSolver solver(ctx, r);

@@ -271,9 +271,9 @@ MinRegResult bisect_register_need(const TypeContext& ctx,
     return result;
   }
   SrcOptions filtered = opts;
-  filtered.leaf_filter = [&ctx, mode, &opts](const sched::Schedule& s) {
+  filtered.leaf_filter = [&ctx, &opts](const sched::Schedule& s) {
     if (opts.leaf_filter && !opts.leaf_filter(s)) return false;
-    return extend_by_schedule(ctx, s, mode).is_dag;
+    return extension_is_dag(ctx, s);
   };
   int lo = 1;
   int hi = ctx.value_count();

@@ -55,6 +55,15 @@ bool arc_redundant(const TypeContext& ctx,
   return ctx.lp().reaches(a.src, a.dst) && ctx.lp().lp(a.src, a.dst) >= a.latency;
 }
 
+/// The lifetime pairs Theorem 4.2 serializes: LT(i) before LT(j) under
+/// sigma (left-open: kill <= def suffices), with symmetric empty-interval
+/// ties oriented one way only, by (def, index).
+bool serialized_before(const std::vector<sched::Lifetime>& lts, int i, int j) {
+  if (i == j || lts[i].kill > lts[j].def) return false;
+  return !(lts[j].kill <= lts[i].def &&
+           std::make_pair(lts[j].def, j) < std::make_pair(lts[i].def, i));
+}
+
 }  // namespace
 
 ExtensionResult extend_by_schedule(const TypeContext& ctx,
@@ -69,14 +78,7 @@ ExtensionResult extend_by_schedule(const TypeContext& ctx,
   std::set<std::pair<ddg::NodeId, ddg::NodeId>> added;
   for (int i = 0; i < nv; ++i) {
     for (int j = 0; j < nv; ++j) {
-      if (i == j) continue;
-      // LT(i) before LT(j) under sigma (left-open: kill <= def suffices).
-      if (lts[i].kill > lts[j].def) continue;
-      // Symmetric empty-interval ties: orient one way only, by (def, index).
-      if (lts[j].kill <= lts[i].def &&
-          std::make_pair(lts[j].def, j) < std::make_pair(lts[i].def, i)) {
-        continue;
-      }
+      if (!serialized_before(lts, i, j)) continue;
       for (const ArcSpec& a : pair_serialization_arcs(ctx, i, j, mode)) {
         if (arc_redundant(ctx, added, a)) continue;
         result.extended.add_serial(a.src, a.dst, a.latency);
@@ -87,6 +89,49 @@ ExtensionResult extend_by_schedule(const TypeContext& ctx,
   }
   result.is_dag = graph::is_dag(result.extended.graph());
   return result;
+}
+
+bool extension_is_dag(const TypeContext& ctx, const sched::Schedule& sigma) {
+  const ddg::Ddg& ddg = ctx.ddg();
+  const int n = ddg.op_count();
+  const int nv = ctx.value_count();
+  RS_REQUIRE(sigma.op_count() == n, "schedule size mismatch");
+  // sched::lifetimes() without rebuilding the value set and consumers.
+  std::vector<sched::Lifetime> lts(nv);
+  for (int i = 0; i < nv; ++i) {
+    const ddg::NodeId u = ctx.value_node(i);
+    lts[i].def = sigma.at(u) + ddg.op(u).delta_w;
+    lts[i].kill = ctx.kill_date(i, lts[i].def,
+                                [&](ddg::NodeId v) { return sigma.at(v); });
+  }
+  // The pairs and arcs of extend_by_schedule; an arc whose endpoints a
+  // DDG path already joins (the self-arc included) cannot close a circuit.
+  std::vector<std::pair<ddg::NodeId, ddg::NodeId>> extra;
+  for (int i = 0; i < nv; ++i) {
+    for (int j = 0; j < nv; ++j) {
+      if (!serialized_before(lts, i, j)) continue;
+      const ddg::NodeId vj = ctx.value_node(j);
+      for (const ddg::NodeId reader : ctx.cons(i)) {
+        if (!ctx.lp().reaches(reader, vj)) extra.emplace_back(reader, vj);
+      }
+    }
+  }
+  if (extra.empty()) return true;  // the DDG itself is a DAG
+
+  // Extra arcs grouped by source (counting sort), then Kahn.
+  std::vector<int> begin(n + 1, 0), indegree(n);
+  std::vector<ddg::NodeId> dst(extra.size()), order;
+  for (ddg::NodeId v = 0; v < n; ++v) indegree[v] = ctx.in_degree(v);
+  for (const auto& [a, b] : extra) {
+    ++begin[a];
+    ++indegree[b];
+  }
+  for (ddg::NodeId v = 0; v < n; ++v) begin[v + 1] += begin[v];
+  for (const auto& [a, b] : extra) dst[--begin[a]] = b;
+  return graph::kahn_order(indegree, order, [&](ddg::NodeId u, auto&& release) {
+    for (const TypeContext::Arc& a : ctx.out_arcs(u)) release(a.dst);
+    for (int e = begin[u]; e < begin[u + 1]; ++e) release(dst[e]);
+  });
 }
 
 ReduceResult reduce_optimal(const TypeContext& ctx, int R,
@@ -115,8 +160,8 @@ ReduceResult reduce_optimal(const TypeContext& ctx, int R,
   const ArcLatencyMode mode = opts.arc_mode;
   // Paper (end of section 4): reject schedules whose extension would lose
   // the DAG property (only reachable with visible write offsets).
-  src.leaf_filter = [&ctx, mode](const sched::Schedule& s) {
-    return extend_by_schedule(ctx, s, mode).is_dag;
+  src.leaf_filter = [&ctx](const sched::Schedule& s) {
+    return extension_is_dag(ctx, s);
   };
 
   SrcSolver solver(ctx, R);

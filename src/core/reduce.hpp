@@ -45,6 +45,15 @@ ExtensionResult extend_by_schedule(const TypeContext& ctx,
                                    const sched::Schedule& sigma,
                                    ArcLatencyMode mode = ArcLatencyMode::General);
 
+/// extend_by_schedule(ctx, sigma, mode).is_dag for every mode, without
+/// building G-bar: a Kahn sort over the context's arcs plus the candidate
+/// serialization arcs, skipping arcs a path of the DDG already implies
+/// (they cannot close a circuit). The arc latency mode only changes
+/// latencies, never which arcs can close a circuit, so it is not a
+/// parameter. sigma must be valid. This is the DAG-preserving leaf filter
+/// of the SRC searches (paper, end of section 4).
+bool extension_is_dag(const TypeContext& ctx, const sched::Schedule& sigma);
+
 enum class ReduceStatus {
   AlreadyFits,   // RS(G) <= R, nothing to do (the figure-2(a) case)
   Reduced,       // extended DDG with RS <= R produced

@@ -16,17 +16,19 @@ struct Search {
 
   std::vector<int> branch_values;  // value indices with >1 candidate
   KillingFunction current;
+  KillingWorkspace workspace;
   RsExactResult best;
   bool complete = true;
   bool node_limit_hit = false;
   long nodes = 0;
   long long prunes = 0;
-  long long expansions = 0;  // killing_need evaluations (antichain solves)
+  // One per bound plus one per accepted leaf, which reuses its bound.
+  long long expansions = 0;
   std::size_t max_depth = 0;
 
   Search(const TypeContext& c, const RsExactOptions& o,
          const support::SolveContext& s)
-      : ctx(c), opts(o), solve(s), current(c.value_count()) {}
+      : ctx(c), opts(o), solve(s), current(c.value_count()), workspace(c) {}
 
   bool limits_hit() {
     // Cancel flag every node, deadline clock coarsely (see SolveContext).
@@ -38,15 +40,13 @@ struct Search {
     return false;
   }
 
-  void accept_leaf() {
+  /// A complete k's bound is its exact RN_k; the caller has checked that
+  /// it beats the incumbent.
+  void accept_leaf(KillingNeed&& need) {
     ++expansions;
-    const auto need = killing_need(ctx, current);
-    if (!need.has_value()) return;  // invalid completion
-    if (need->need > best.rs) {
-      best.rs = need->need;
-      best.killing = current;
-      best.antichain = need->antichain;
-    }
+    best.rs = need.need;
+    best.killing = current;
+    best.antichain = std::move(need.antichain);
   }
 
   void dfs(std::size_t depth) {
@@ -58,7 +58,7 @@ struct Search {
     max_depth = std::max(max_depth, depth);
     // Admissible bound: antichain of the partially constrained DV DAG.
     ++expansions;
-    const auto bound = killing_need(ctx, current);
+    auto bound = workspace.need(current);
     if (!bound.has_value()) return;  // cyclic extension: prune subtree
     if (bound->need <= best.rs) {
       ++prunes;
@@ -66,7 +66,7 @@ struct Search {
     }
 
     if (depth == branch_values.size()) {
-      accept_leaf();
+      accept_leaf(std::move(*bound));
       return;
     }
     const int i = branch_values[depth];

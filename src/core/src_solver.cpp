@@ -9,6 +9,98 @@
 
 namespace rs::core {
 
+SrcBounds::SrcBounds(const TypeContext& ctx, sched::Time P)
+    : ctx_(ctx), P_(P) {
+  sched::Time lo_off = 0, hi_off = 0;
+  for (ddg::NodeId v = 0; v < ctx.ddg().op_count(); ++v) {
+    const ddg::Operation& op = ctx.ddg().op(v);
+    lo_off = std::min({lo_off, op.delta_r, op.delta_w});
+    hi_off = std::max({hi_off, op.delta_r, op.delta_w});
+  }
+  // Events sit at def+1 and kill+1 with def, kill in [0, P] + offsets. The
+  // sweep pays off while the horizon is a small multiple of the event
+  // count; a longer one (a large budget or latency) sorts the events
+  // instead, so neither memory nor time per call grows with P.
+  const sched::Time events = 2 * static_cast<sched::Time>(ctx.value_count());
+  const sched::Time limit = 8 * (events + 1);
+  if (P <= limit && hi_off - lo_off <= limit) {
+    base_ = lo_off + 1;
+    diff_.assign(static_cast<std::size_t>(std::max<sched::Time>(P, 0) +
+                                          hi_off - lo_off + 1),
+                 0);
+    lo_ = diff_.size();
+  } else {
+    events_.reserve(static_cast<std::size_t>(events));
+  }
+}
+
+void SrcBounds::add(sched::Time def, sched::Time kill) {
+  if (kill <= def) return;  // empty lifetime
+  if (diff_.empty()) {
+    events_.emplace_back(def + 1, +1);
+    events_.emplace_back(kill + 1, -1);
+    return;
+  }
+  RS_CHECK(def + 1 >= base_ &&
+           kill + 1 - base_ < static_cast<sched::Time>(diff_.size()));
+  const auto open = static_cast<std::size_t>(def + 1 - base_);
+  const auto close = static_cast<std::size_t>(kill + 1 - base_);
+  ++diff_[open];
+  --diff_[close];
+  lo_ = std::min(lo_, open);
+  hi_ = std::max(hi_, close);
+}
+
+int SrcBounds::peak() {
+  int live = 0, best = 0;
+  if (diff_.empty()) {
+    std::sort(events_.begin(), events_.end());
+    for (const auto& [t, d] : events_) {
+      live += d;
+      best = std::max(best, live);
+    }
+    events_.clear();
+    return best;
+  }
+  for (std::size_t t = lo_; t <= hi_; ++t) {
+    live += diff_[t];
+    best = std::max(best, live);
+    diff_[t] = 0;
+  }
+  lo_ = diff_.size();
+  hi_ = 0;
+  return best;
+}
+
+int SrcBounds::lower(std::span<const sched::Time> sigma,
+                     std::span<const sched::Time> earliest) {
+  const auto read = [&](ddg::NodeId v) {
+    return sigma[v] >= 0 ? sigma[v] : earliest[v];
+  };
+  for (int i = 0; i < ctx_.value_count(); ++i) {
+    const ddg::NodeId u = ctx_.value_node(i);
+    if (sigma[u] < 0) continue;
+    const sched::Time def = sigma[u] + ctx_.ddg().op(u).delta_w;
+    add(def, ctx_.kill_date(i, def, read));
+  }
+  return peak();
+}
+
+int SrcBounds::upper(std::span<const sched::Time> sigma,
+                     std::span<const sched::Time> earliest,
+                     std::span<const std::int64_t> lpf) {
+  const auto read = [&](ddg::NodeId v) {
+    return sigma[v] >= 0 ? sigma[v] : P_ - lpf[v];
+  };
+  for (int i = 0; i < ctx_.value_count(); ++i) {
+    const ddg::NodeId u = ctx_.value_node(i);
+    const sched::Time def =
+        (sigma[u] >= 0 ? sigma[u] : earliest[u]) + ctx_.ddg().op(u).delta_w;
+    add(def, ctx_.kill_date(i, def, read));
+  }
+  return peak();
+}
+
 namespace {
 
 struct Dfs {
@@ -28,6 +120,13 @@ struct Dfs {
   std::vector<std::int64_t> lpf;     // longest path to sinks
   std::vector<sched::Time> earliest; // implied earliest issue per op
   std::vector<sched::Time> sigma;    // -1 = not explicitly scheduled
+  SrcBounds bounds;
+  // propagate(): raised ops' previous earliest times, popped on undo, and
+  // the irrelevant ops whose implicit schedule moved. Both live for the
+  // whole search.
+  std::vector<std::pair<graph::NodeId, sched::Time>> undo;
+  std::vector<graph::NodeId> work;
+  sched::Schedule leaf;  // reused leaf schedule buffer
   long nodes = 0;
   long long prunes = 0;
   bool truncated = false;
@@ -37,7 +136,7 @@ struct Dfs {
 
   Dfs(const TypeContext& c, const SrcOptions& o,
       const support::SolveContext& s, int r, sched::Time p, int tgt)
-      : ctx(c), opts(o), solve(s), R(r), P(p), rn_target(tgt) {
+      : ctx(c), opts(o), solve(s), R(r), P(p), rn_target(tgt), bounds(c, p) {
     const graph::Digraph& g = ctx.ddg().graph();
     const auto topo = graph::topo_order(g);
     RS_REQUIRE(topo.has_value(), "SRC needs an acyclic DDG");
@@ -54,6 +153,8 @@ struct Dfs {
     const auto asap = graph::longest_path_to(g);
     for (int v = 0; v < g.node_count(); ++v) earliest[v] = asap[v];
     sigma.assign(g.node_count(), -1);
+    undo.reserve(g.node_count());
+    work.reserve(g.node_count());
   }
 
   bool limits_hit() {
@@ -66,90 +167,33 @@ struct Dfs {
     return false;
   }
 
-  /// Monotone lower bound on the register need of any completion: defined
-  /// values certainly live from their write until max(assigned reads,
-  /// earliest possible remaining reads); these only grow as times get fixed.
-  int partial_rn_lower_bound() const {
-    std::vector<std::pair<sched::Time, int>> events;
-    for (int i = 0; i < ctx.value_count(); ++i) {
-      const ddg::NodeId u = ctx.value_node(i);
-      if (sigma[u] < 0) continue;
-      const sched::Time def = sigma[u] + ctx.ddg().op(u).delta_w;
-      sched::Time kill = def;
-      for (const ddg::NodeId v : ctx.cons(i)) {
-        const sched::Time read =
-            (sigma[v] >= 0 ? sigma[v] : earliest[v]) + ctx.ddg().op(v).delta_r;
-        kill = std::max(kill, read);
-      }
-      if (kill > def) {
-        events.emplace_back(def + 1, +1);
-        events.emplace_back(kill + 1, -1);
-      }
-    }
-    std::sort(events.begin(), events.end());
-    int live = 0, peak = 0;
-    for (const auto& [t, d] : events) {
-      live += d;
-      peak = std::max(peak, live);
-    }
-    return peak;
-  }
-
-  /// Admissible upper bound on the register need any completion can still
-  /// reach: every value gets its most optimistic interval — definition as
-  /// early as still possible, kill as late as any unscheduled consumer
-  /// could read — and the bound is the peak overlap of those intervals.
-  int rn_upper_bound() const {
-    std::vector<std::pair<sched::Time, int>> events;
-    for (int i = 0; i < ctx.value_count(); ++i) {
-      const ddg::NodeId u = ctx.value_node(i);
-      const sched::Time def =
-          (sigma[u] >= 0 ? sigma[u] : earliest[u]) + ctx.ddg().op(u).delta_w;
-      sched::Time kill = def;
-      for (const ddg::NodeId v : ctx.cons(i)) {
-        const sched::Time read =
-            (sigma[v] >= 0 ? sigma[v] : P - lpf[v]) + ctx.ddg().op(v).delta_r;
-        kill = std::max(kill, read);
-      }
-      if (kill > def) {
-        events.emplace_back(def + 1, +1);
-        events.emplace_back(kill + 1, -1);
-      }
-    }
-    std::sort(events.begin(), events.end());
-    int live = 0, peak = 0;
-    for (const auto& [t, d] : events) {
-      live += d;
-      peak = std::max(peak, live);
-    }
-    return peak;
-  }
-
   /// Raises earliest[] after fixing `u` at time `t`, treating irrelevant
   /// ops as issued at their earliest time (so updates flow through them
-  /// transitively). Returns an undo list.
-  std::vector<std::pair<graph::NodeId, sched::Time>> propagate(
-      graph::NodeId u, sched::Time t) {
-    const graph::Digraph& g = ctx.ddg().graph();
-    std::vector<std::pair<graph::NodeId, sched::Time>> saved;
-    std::vector<graph::NodeId> work;
-    auto raise = [&](graph::NodeId v, sched::Time val) {
-      if (val <= earliest[v]) return;
-      saved.emplace_back(v, earliest[v]);
-      earliest[v] = val;
-      if (!relevant[v]) work.push_back(v);  // implicit schedule moved
+  /// transitively). Pushes the old values on `undo` and returns the stack
+  /// height to unwind to.
+  std::size_t propagate(graph::NodeId u, sched::Time t) {
+    const std::size_t mark = undo.size();
+    auto raise = [&](const TypeContext::Arc& a, sched::Time from) {
+      const sched::Time val = from + a.latency;
+      if (val <= earliest[a.dst]) return;
+      undo.emplace_back(a.dst, earliest[a.dst]);
+      earliest[a.dst] = val;
+      if (!relevant[a.dst]) work.push_back(a.dst);  // implicit schedule moved
     };
-    for (const graph::EdgeId e : g.out_edges(u)) {
-      raise(g.edge(e).dst, t + g.edge(e).latency);
-    }
+    for (const TypeContext::Arc& a : ctx.out_arcs(u)) raise(a, t);
     while (!work.empty()) {
       const graph::NodeId v = work.back();
       work.pop_back();
-      for (const graph::EdgeId e : g.out_edges(v)) {
-        raise(g.edge(e).dst, earliest[v] + g.edge(e).latency);
-      }
+      for (const TypeContext::Arc& a : ctx.out_arcs(v)) raise(a, earliest[v]);
     }
-    return saved;
+    return mark;
+  }
+
+  void unwind(std::size_t mark) {
+    while (undo.size() > mark) {
+      earliest[undo.back().first] = undo.back().second;
+      undo.pop_back();
+    }
   }
 
   bool dfs(std::size_t depth) {
@@ -158,25 +202,26 @@ struct Dfs {
       return false;
     }
     ++nodes;
-    if (partial_rn_lower_bound() > R) {
+    const int lower = bounds.lower(sigma, earliest);
+    if (lower > R) {
       ++prunes;
       return false;
     }
-    if (rn_target > 0 && rn_upper_bound() < rn_target) {
+    if (rn_target > 0 && bounds.upper(sigma, earliest, lpf) < rn_target) {
       ++prunes;
       return false;
     }
     if (depth == order.size()) {
-      sched::Schedule s;
-      s.time = sigma;
+      leaf.time = sigma;
       for (graph::NodeId v = 0; v < ctx.ddg().op_count(); ++v) {
-        if (s.time[v] < 0) s.time[v] = earliest[v];  // implicit ASAP
+        if (leaf.time[v] < 0) leaf.time[v] = earliest[v];  // implicit ASAP
       }
-      RS_CHECK(sched::is_valid(ctx.ddg(), s));
-      const int rn = sched::register_need(ctx.ddg(), ctx.type(), s);
+      RS_CHECK(sched::is_valid(ctx.ddg(), leaf));
+      // Every value and reader is scheduled, so the lower bound is RN.
+      const int rn = lower;
       if (rn > R || rn < rn_target) return false;
-      if (opts.leaf_filter && !opts.leaf_filter(s)) return false;
-      witness = std::move(s);
+      if (opts.leaf_filter && !opts.leaf_filter(leaf)) return false;
+      witness = leaf;
       found = true;
       return true;
     }
@@ -191,11 +236,9 @@ struct Dfs {
     for (sched::Time step = 0; step <= hi - lo; ++step) {
       const sched::Time t = descending ? hi - step : lo + step;
       sigma[u] = t;
-      const auto saved = propagate(u, t);
+      const std::size_t mark = propagate(u, t);
       const bool ok = dfs(depth + 1);
-      for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-        earliest[it->first] = it->second;
-      }
+      unwind(mark);
       if (ok) return true;
       if (truncated) break;
     }

@@ -14,9 +14,20 @@
 // schedule completes. For VLIW targets an optional leaf filter rejects
 // schedules whose Theorem-4.2 arc set would create a circuit (the paper's
 // topological-sort-existence requirement).
+//
+// Cost per DFS node: O(values + reads) plus a sweep of O(values) time
+// steps or a sort of 2 x values events for the bounds (SrcBounds), plus
+// the earliest-time propagation, whose undo entries go on one stack kept
+// for the whole search. Nothing is allocated per node; a leaf copies the
+// schedule into one reused buffer, and its register need is the lower
+// bound already computed there.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/context.hpp"
 #include "sched/schedule.hpp"
@@ -47,6 +58,51 @@ struct SrcResult {
   SrcStatus status = SrcStatus::Proven;
   long nodes = 0;
   support::SolveStats stats;   // per-call search effort + stop cause
+};
+
+/// The DFS's two register-need bounds over a partial schedule of ctx's DDG
+/// with makespan budget P. sigma[v] is v's issue time, or negative while v
+/// is unscheduled; earliest[v] is the earliest issue its scheduled
+/// predecessors still allow. Every time lies in [0, P]. Each bound is the
+/// peak overlap of one left-open interval ]def, kill] per value, found
+/// without allocation in buffers sized at construction. While P is at most
+/// a small multiple of the value count, one difference-array sweep over the
+/// horizon finds it in O(values + reads + P) with no sort; beyond that the
+/// bounds sort the 2 x values interval events instead, so memory and time
+/// per call stay independent of P. Both equal an event sort that takes -1
+/// before +1 at equal times.
+class SrcBounds {
+ public:
+  SrcBounds(const TypeContext& ctx, sched::Time P);
+
+  /// Monotone lower bound on the register need of any completion: defined
+  /// values certainly live from their write until max(assigned reads,
+  /// earliest possible remaining reads); these only grow as times get
+  /// fixed. Once every value and reader is scheduled it is the exact RN.
+  int lower(std::span<const sched::Time> sigma,
+            std::span<const sched::Time> earliest);
+
+  /// Admissible upper bound on the register need any completion can still
+  /// reach: every value gets its most optimistic interval — definition as
+  /// early as still possible, kill as late as any unscheduled consumer
+  /// could read (P - lpf[v], lpf = longest path to a sink) — and the bound
+  /// is the peak overlap of those intervals.
+  int upper(std::span<const sched::Time> sigma,
+            std::span<const sched::Time> earliest,
+            std::span<const std::int64_t> lpf);
+
+ private:
+  void add(sched::Time def, sched::Time kill);
+  int peak();
+
+  const TypeContext& ctx_;
+  sched::Time P_;
+  // Sweep mode: diff_ non-empty and all zero between calls.
+  sched::Time base_ = 0;         // time of diff_[0]
+  std::vector<int> diff_;
+  std::size_t lo_ = 0, hi_ = 0;  // range add() touched; lo_ > hi_ when none
+  // Sort mode (diff_ empty): (time, +1 | -1) events, empty between calls.
+  std::vector<std::pair<sched::Time, int>> events_;
 };
 
 class SrcSolver {

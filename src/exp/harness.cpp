@@ -153,9 +153,8 @@ std::vector<ReductionComparison> compare_reduction(
     const core::ReduceResult opt = core::reduce_optimal(
         ctx, task.R, ropts, support::SolveContext(opts.time_limit));
     core::SrcOptions msopts = ropts.src;
-    const core::ArcLatencyMode mode = ropts.arc_mode;
-    msopts.leaf_filter = [&ctx, mode](const sched::Schedule& s) {
-      return core::extend_by_schedule(ctx, s, mode).is_dag;
+    msopts.leaf_filter = [&ctx](const sched::Schedule& s) {
+      return core::extension_is_dag(ctx, s);
     };
     const core::SrcResult ms = core::SrcSolver(ctx, task.R).minimize_makespan(
         msopts, support::SolveContext(opts.time_limit));

@@ -20,6 +20,15 @@ struct AntichainResult {
   int size = 0;
 };
 
+class BipartiteMatching;
+
+/// Maximum antichain of the strict partial order whose comparable pairs
+/// (i before j) are the edges (i, j) of `order`, a k x k bipartite graph
+/// (the same transitivity requirement as below). Solves `order` in place,
+/// so a caller can refill one matching per order instead of passing a
+/// callback.
+AntichainResult maximum_antichain(BipartiteMatching& order);
+
 /// Maximum antichain of the strict partial order `before` over k elements.
 /// `before` MUST be irreflexive and transitive (pass a reachability
 /// relation, not raw arcs) — Dilworth's reduction is unsound otherwise.

@@ -17,6 +17,17 @@ BipartiteMatching::BipartiteMatching(int n_left, int n_right)
   RS_REQUIRE(n_left >= 0 && n_right >= 0, "negative partition size");
 }
 
+void BipartiteMatching::reset(int n_left, int n_right) {
+  RS_REQUIRE(n_left >= 0 && n_right >= 0, "negative partition size");
+  nl_ = n_left;
+  nr_ = n_right;
+  if (static_cast<int>(adj_.size()) < n_left) adj_.resize(n_left);
+  for (int l = 0; l < n_left; ++l) adj_[l].clear();
+  match_l_.assign(n_left, -1);
+  match_r_.assign(n_right, -1);
+  solved_ = false;
+}
+
 void BipartiteMatching::add_edge(int left, int right) {
   RS_REQUIRE(left >= 0 && left < nl_, "left vertex out of range");
   RS_REQUIRE(right >= 0 && right < nr_, "right vertex out of range");
@@ -26,24 +37,23 @@ void BipartiteMatching::add_edge(int left, int right) {
 
 bool BipartiteMatching::bfs_layers() {
   layer_.assign(nl_, kInf);
-  std::queue<int> q;
+  queue_.clear();
   for (int l = 0; l < nl_; ++l) {
     if (match_l_[l] == -1) {
       layer_[l] = 0;
-      q.push(l);
+      queue_.push_back(l);
     }
   }
   bool found_free_right = false;
-  while (!q.empty()) {
-    const int l = q.front();
-    q.pop();
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const int l = queue_[head];
     for (const int r : adj_[l]) {
       const int l2 = match_r_[r];
       if (l2 == -1) {
         found_free_right = true;
       } else if (layer_[l2] == kInf) {
         layer_[l2] = layer_[l] + 1;
-        q.push(l2);
+        queue_.push_back(l2);
       }
     }
   }

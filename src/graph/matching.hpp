@@ -11,6 +11,12 @@ class BipartiteMatching {
  public:
   BipartiteMatching(int n_left, int n_right);
 
+  /// Empties the graph and the matching and resizes both parts, keeping
+  /// the allocated adjacency for reuse across many small instances.
+  void reset(int n_left, int n_right);
+
+  int left_count() const { return nl_; }
+
   void add_edge(int left, int right);
 
   /// Runs Hopcroft-Karp; returns matching cardinality. Idempotent.
@@ -36,6 +42,7 @@ class BipartiteMatching {
   std::vector<std::vector<int>> adj_;  // left -> rights
   std::vector<int> match_l_, match_r_;
   std::vector<int> layer_;
+  std::vector<int> queue_;  // BFS queue, kept across phases and resets
   bool solved_ = false;
 };
 

@@ -8,10 +8,15 @@
 namespace rs::graph {
 
 LongestPaths::LongestPaths(const Digraph& g) : n_(g.node_count()) {
-  RS_REQUIRE(!has_positive_circuit(g), "longest paths need positive-circuit-free graph");
   d_.assign(static_cast<std::size_t>(n_) * n_, kNoPath);
 
   const auto order = topo_order(g);
+  // A DAG has no circuit at all, so only the Bellman-Ford fallback needs
+  // the positive-circuit check.
+  if (!order) {
+    RS_REQUIRE(!has_positive_circuit(g),
+               "longest paths need positive-circuit-free graph");
+  }
   for (NodeId s = 0; s < n_; ++s) {
     std::int64_t* row = &d_[static_cast<std::size_t>(s) * n_];
     row[s] = 0;
@@ -38,10 +43,9 @@ LongestPaths::LongestPaths(const Digraph& g) : n_(g.node_count()) {
         }
         if (!changed) break;
       }
-      // A circuit through s can relax row[s] above 0; clamp is invalid, so
-      // instead assert it stayed <= 0 and restore the diagonal convention.
-      RS_CHECK(row[s] <= 0 || row[s] == kNoPath || row[s] >= 0);
-      row[s] = std::max<std::int64_t>(row[s], 0);
+      // Relaxation only raises row[s]; above 0 it would have found a
+      // positive circuit through s, which the precondition rules out.
+      RS_CHECK(row[s] == 0);
     }
   }
 }

@@ -20,8 +20,9 @@ inline constexpr std::int64_t kNoPath = std::numeric_limits<std::int64_t>::min()
 class LongestPaths {
  public:
   /// Requires: !has_positive_circuit(g). DAGs run in O(V*(V+E)) via one
-  /// relaxation sweep per source in topological order; graphs with
-  /// non-positive circuits fall back to Bellman-Ford per source.
+  /// relaxation sweep per source in topological order, with no circuit
+  /// check; graphs with non-positive circuits are checked, then fall back
+  /// to Bellman-Ford per source.
   explicit LongestPaths(const Digraph& g);
 
   std::int64_t lp(NodeId u, NodeId v) const { return d_[u * n_ + v]; }

@@ -8,6 +8,8 @@
 #include "ddg/builder.hpp"
 #include "ddg/generators.hpp"
 #include "ddg/kernels.hpp"
+#include "graph/antichain.hpp"
+#include "graph/paths.hpp"
 #include "graph/topo.hpp"
 #include "sched/lifetime.hpp"
 #include "support/assert.hpp"
@@ -214,6 +216,91 @@ TEST(Killing, NeedMonotoneUnderAssignment) {
     EXPECT_LE(cur->need, prev->need);
     prev = cur;
   }
+}
+
+/// Reference DV_k for KillingWorkspace, computed directly: all-pairs longest
+/// paths over a copied G->k, then every DV arc.
+std::optional<graph::Digraph> reference_dv(const TypeContext& ctx,
+                                           const KillingFunction& k) {
+  const graph::Digraph ext = killing_extended_graph(ctx, k);
+  if (!graph::is_dag(ext)) return std::nullopt;
+  const graph::LongestPaths lp(ext);
+  const int nv = ctx.value_count();
+  graph::Digraph dv(nv);
+  for (int i = 0; i < nv; ++i) {
+    const ddg::NodeId killer = k.killer[i];
+    if (killer < 0) continue;
+    for (int j = 0; j < nv; ++j) {
+      const ddg::NodeId vj = ctx.value_node(j);
+      if (j != i && lp.reaches(killer, vj) &&
+          lp.lp(killer, vj) >=
+              ctx.ddg().op(killer).delta_r - ctx.ddg().op(vj).delta_w) {
+        dv.add_edge(i, j, 0);
+      }
+    }
+  }
+  if (!graph::is_dag(dv)) return std::nullopt;
+  return dv;
+}
+
+/// Edge list as (src, dst) pairs, in insertion order.
+std::vector<std::pair<int, int>> arcs_of(const graph::Digraph& g) {
+  std::vector<std::pair<int, int>> out;
+  for (const graph::Edge& e : g.edges()) out.emplace_back(e.src, e.dst);
+  return out;
+}
+
+TEST(KillingWorkspace, MatchesAllPairsReferenceOnRandomDags) {
+  // Complete and partial killing functions, killers drawn from Cons (so
+  // some are outside pkill and some close a circuit in G->k), on both
+  // machine models and several sizes; one workspace per context serves
+  // every draw, as in the searches.
+  support::Rng rng(1212);
+  int invalid = 0, valid = 0;
+  for (const bool vliw : {false, true}) {
+    const auto model = vliw ? ddg::vliw_model() : ddg::superscalar_model();
+    for (const int n_ops : {6, 12, 20, 32}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        ddg::RandomDagParams p;
+        p.n_ops = n_ops;
+        const ddg::Ddg d = ddg::random_dag(rng, model, p);
+        for (const ddg::RegType t : {kFloatReg, kIntReg}) {
+          const TypeContext ctx(d, t);
+          KillingWorkspace ws(ctx);
+          for (int draw = 0; draw < 12; ++draw) {
+            KillingFunction k(ctx.value_count());
+            const bool partial = draw % 3 == 2;
+            for (int i = 0; i < ctx.value_count(); ++i) {
+              if (partial && rng.next_int(0, 2) == 0) continue;
+              const auto& from = draw % 2 == 0 ? ctx.pkill(i) : ctx.cons(i);
+              k.killer[i] =
+                  from[rng.next_int(0, static_cast<int>(from.size()) - 1)];
+            }
+            SCOPED_TRACE("vliw=" + std::to_string(vliw) + " n=" +
+                         std::to_string(n_ops) + " draw=" + std::to_string(draw));
+            const auto want_dv = reference_dv(ctx, k);
+            const auto got = ws.need(k);
+            const auto got_dv = ws.dv_dag(k);
+            ASSERT_EQ(got.has_value(), want_dv.has_value());
+            ASSERT_EQ(got_dv.has_value(), want_dv.has_value());
+            EXPECT_EQ(killing_need(ctx, k).has_value(), want_dv.has_value());
+            if (!want_dv) {
+              ++invalid;
+              continue;
+            }
+            ++valid;
+            EXPECT_EQ(arcs_of(*got_dv), arcs_of(*want_dv));
+            const graph::AntichainResult want =
+                graph::maximum_antichain_of_dag(*want_dv);
+            EXPECT_EQ(got->need, want.size);
+            EXPECT_EQ(got->antichain, want.members);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(valid, 0);
+  EXPECT_GT(invalid, 0);
 }
 
 TEST(Killing, VliwOffsetsSupported) {

@@ -365,7 +365,170 @@ TEST(ReduceVliw, ExtensionsStaySchedulableAndAcyclic) {
   }
 }
 
+// ------------------------------------- differential: filter and bounds --
+
+/// A valid schedule of d: ASAP plus random delays, pushed forward until
+/// every arc holds.
+sched::Schedule random_valid_schedule(support::Rng& rng, const ddg::Ddg& d) {
+  sched::Schedule s = sched::asap(d);
+  for (auto& t : s.time) t += rng.next_int(0, 6);
+  const auto order = graph::topo_order(d.graph());
+  for (const graph::NodeId u : *order) {
+    for (const graph::EdgeId e : d.graph().out_edges(u)) {
+      const graph::Edge& ed = d.graph().edge(e);
+      s.time[ed.dst] = std::max(s.time[ed.dst], s.time[u] + ed.latency);
+    }
+  }
+  return s;
+}
+
+TEST(Extension, IsDagFilterMatchesBuiltExtension) {
+  support::Rng rng(2024);
+  int cyclic = 0, acyclic = 0;
+  for (const bool vliw : {false, true}) {
+    const auto model = vliw ? ddg::vliw_model() : ddg::superscalar_model();
+    for (const int n_ops : {6, 12, 20, 32}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        ddg::RandomDagParams p;
+        p.n_ops = n_ops;
+        const ddg::Ddg d = ddg::random_dag(rng, model, p);
+        for (const ddg::RegType t : {kFloatReg, kIntReg}) {
+          const TypeContext ctx(d, t);
+          for (int draw = 0; draw < 8; ++draw) {
+            const sched::Schedule s =
+                draw == 0 ? sched::asap(d) : random_valid_schedule(rng, d);
+            ASSERT_TRUE(sched::is_valid(d, s));
+            const bool got = extension_is_dag(ctx, s);
+            for (const ArcLatencyMode mode :
+                 {ArcLatencyMode::General, ArcLatencyMode::PaperStrict}) {
+              EXPECT_EQ(got, extend_by_schedule(ctx, s, mode).is_dag)
+                  << "vliw=" << vliw << " n=" << n_ops << " draw=" << draw;
+            }
+            ++(got ? acyclic : cyclic);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(acyclic, 0);
+  EXPECT_GT(cyclic, 0);
+}
+
+/// Peak overlap of the left-open intervals ]def, kill] by sorting events,
+/// -1 before +1 at equal times: the reference SrcBounds must match.
+int event_sort_peak(const std::vector<std::pair<sched::Time, sched::Time>>& lts) {
+  std::vector<std::pair<sched::Time, int>> events;
+  for (const auto& [def, kill] : lts) {
+    if (kill <= def) continue;
+    events.emplace_back(def + 1, +1);
+    events.emplace_back(kill + 1, -1);
+  }
+  std::sort(events.begin(), events.end());
+  int live = 0, peak = 0;
+  for (const auto& [time, delta] : events) {
+    live += delta;
+    peak = std::max(peak, live);
+  }
+  return peak;
+}
+
+TEST(SrcBounds, MatchEventSortReference) {
+  support::Rng rng(77);
+  for (const bool vliw : {false, true}) {
+    const auto model = vliw ? ddg::vliw_model() : ddg::superscalar_model();
+    for (const int n_ops : {6, 12, 20, 32}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        ddg::RandomDagParams p;
+        p.n_ops = n_ops;
+        const ddg::Ddg d = ddg::random_dag(rng, model, p);
+        // Every third DDG gets a horizon far past the sweep's, which the
+        // bounds must handle by sorting instead.
+        const sched::Time P = graph::critical_path(d.graph()) +
+                              rng.next_int(0, 12) +
+                              (trial % 3 == 2 ? 1'000'000'000 : 0);
+        const auto lpf = graph::longest_path_from(d.graph());
+        const auto asap = graph::longest_path_to(d.graph());
+        for (const ddg::RegType t : {kFloatReg, kIntReg}) {
+          const TypeContext ctx(d, t);
+          SrcBounds bounds(ctx, P);  // reused across draws, as in the DFS
+          for (int draw = 0; draw < 10; ++draw) {
+            // A partial schedule: every time in the DFS's range [0, P].
+            std::vector<sched::Time> sigma(d.op_count()), earliest(d.op_count());
+            for (graph::NodeId v = 0; v < d.op_count(); ++v) {
+              const int hi = static_cast<int>(P - lpf[v]);
+              earliest[v] = rng.next_int(static_cast<int>(asap[v]), hi);
+              sigma[v] = draw == 0 || rng.next_int(0, 1) == 0
+                             ? rng.next_int(static_cast<int>(earliest[v]), hi)
+                             : -1;
+            }
+            std::vector<std::pair<sched::Time, sched::Time>> lower_lts, upper_lts;
+            for (int i = 0; i < ctx.value_count(); ++i) {
+              const ddg::NodeId u = ctx.value_node(i);
+              const sched::Time w = d.op(u).delta_w;
+              sched::Time lo_kill = sigma[u] + w;
+              sched::Time up_def = (sigma[u] >= 0 ? sigma[u] : earliest[u]) + w;
+              sched::Time up_kill = up_def;
+              for (const ddg::NodeId v : ctx.cons(i)) {
+                const sched::Time r = d.op(v).delta_r;
+                lo_kill = std::max(
+                    lo_kill, (sigma[v] >= 0 ? sigma[v] : earliest[v]) + r);
+                up_kill = std::max(
+                    up_kill, (sigma[v] >= 0 ? sigma[v] : P - lpf[v]) + r);
+              }
+              if (sigma[u] >= 0) lower_lts.emplace_back(sigma[u] + w, lo_kill);
+              upper_lts.emplace_back(up_def, up_kill);
+            }
+            SCOPED_TRACE("vliw=" + std::to_string(vliw) + " n=" +
+                         std::to_string(n_ops) + " draw=" + std::to_string(draw));
+            EXPECT_EQ(bounds.lower(sigma, earliest), event_sort_peak(lower_lts));
+            EXPECT_EQ(bounds.upper(sigma, earliest, lpf),
+                      event_sort_peak(upper_lts));
+            if (draw == 0) {
+              // Fully scheduled: the lower bound is the register need.
+              sched::Schedule s;
+              s.time = sigma;
+              EXPECT_EQ(bounds.lower(sigma, earliest),
+                        sched::register_need(d, t, s));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------- minimization (Fig 2) --
+
+TEST(MinReg, LargeBudgetsAndLatenciesCostNoHorizonMemory) {
+  // A chain a -> b -> c: its values never overlap, so RN is 1 under any
+  // budget. A makespan budget of 1e9 or 1e12 cycles, or a 1e9-cycle arc,
+  // must neither allocate per cycle of the horizon nor change the answer.
+  const auto chain = [](ddg::Latency big) {
+    ddg::KernelBuilder kb(ddg::superscalar_model(), "chain");
+    const auto a = kb.live_in(kFloatReg, "a");
+    const auto b = kb.flong("b", a);
+    const auto c = kb.flong("c", b);
+    if (big > 0) kb.serial(b, c, big);
+    return kb.build();
+  };
+  for (const ddg::Latency big : {ddg::Latency{0}, ddg::Latency{1'000'000'000}}) {
+    const ddg::Ddg d = chain(big);
+    const TypeContext ctx(d, kFloatReg);
+    const sched::Time cp = graph::critical_path(d.graph());
+    for (const sched::Time budget :
+         {sched::Time{0}, sched::Time{1'000'000'000}, sched::Time{1'000'000'000'000}}) {
+      if (budget > 0 && budget < cp) continue;
+      SCOPED_TRACE("big=" + std::to_string(big) +
+                   " budget=" + std::to_string(budget));
+      const MinRegResult r = minimize_register_need(ctx, budget, SrcOptions{});
+      ASSERT_TRUE(r.proven);
+      EXPECT_EQ(r.min_need, 1);
+      EXPECT_EQ(r.nodes, 5);  // the same search tree as at any budget
+      EXPECT_EQ(sched::register_need(d, kFloatReg, r.sigma), 1);
+      EXPECT_TRUE(sched::is_valid(d, r.sigma));
+    }
+  }
+}
 
 TEST(MinReg, FindsProvableMinimumUnderCpBudget) {
   const ddg::Ddg d = ddg::lin_ddot(ddg::superscalar_model());

@@ -117,6 +117,48 @@ TEST(Paths, NonPositiveCircuitFallback) {
   EXPECT_EQ(to[2], 5);
 }
 
+TEST(Paths, DagRowsMatchBellmanFordReference) {
+  // Random DAGs over a shuffled node order with mixed-sign latencies,
+  // parallel arcs and some huge latencies, against a plain per-source
+  // Bellman-Ford.
+  support::Rng rng(321);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = rng.next_int(1, 24);
+    std::vector<NodeId> rank(n);
+    for (int i = 0; i < n; ++i) rank[i] = i;
+    for (int i = n - 1; i > 0; --i) std::swap(rank[i], rank[rng.next_int(0, i)]);
+    Digraph g(n);
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        for (int copies = rng.next_int(0, 1) * rng.next_int(1, 2); copies > 0;
+             --copies) {
+          g.add_edge(rank[a], rank[b], rng.next_int(-3, 6));
+        }
+      }
+    }
+    if (trial % 4 == 3 && n > 1) {
+      // One huge latency: "no path" must not turn into a path through it.
+      const int a = rng.next_int(0, n - 2);
+      g.add_edge(rank[a], rank[rng.next_int(a + 1, n - 1)],
+                 std::int64_t{1'200'000'000'000'000'000});
+    }
+    const LongestPaths lp(g);
+    for (NodeId s = 0; s < n; ++s) {
+      std::vector<std::int64_t> d(n, kNoPath);
+      d[s] = 0;
+      for (int round = 0; round < n; ++round) {
+        for (const Edge& e : g.edges()) {
+          if (d[e.src] == kNoPath) continue;
+          d[e.dst] = std::max(d[e.dst], d[e.src] + e.latency);
+        }
+      }
+      for (NodeId t = 0; t < n; ++t) {
+        EXPECT_EQ(lp.lp(s, t), d[t]) << "trial " << trial << " " << s << "->" << t;
+      }
+    }
+  }
+}
+
 TEST(Paths, PositiveCircuitRejected) {
   Digraph g(2);
   g.add_edge(0, 1, 1);
@@ -177,6 +219,29 @@ TEST(Matching, KonigCoverCoversEveryEdge) {
     EXPECT_EQ(cover_size, matched);  // König
     for (const auto& [l, r] : edges) {
       EXPECT_TRUE(cover.left[l] || cover.right[r]);
+    }
+  }
+}
+
+TEST(Matching, ResetMatchesFreshInstance) {
+  // One matching reset and refilled per instance answers like a fresh one.
+  support::Rng rng(99);
+  BipartiteMatching reused(0, 0);
+  for (int trial = 0; trial < 30; ++trial) {
+    const int nl = rng.next_int(0, 9), nr = rng.next_int(0, 9);
+    BipartiteMatching fresh(nl, nr);
+    reused.reset(nl, nr);
+    for (int l = 0; l < nl; ++l) {
+      for (int r = 0; r < nr; ++r) {
+        if (rng.next_bool(0.3)) {
+          fresh.add_edge(l, r);
+          reused.add_edge(l, r);
+        }
+      }
+    }
+    EXPECT_EQ(reused.solve(), fresh.solve());
+    for (int l = 0; l < nl; ++l) {
+      EXPECT_EQ(reused.match_of_left(l), fresh.match_of_left(l));
     }
   }
 }

@@ -149,7 +149,9 @@ int usage() {
      << "|cancel|drain|stats|metrics):\n";
   for (const rs::service::Operation* op : rs::service::operations()) {
     os << "  " << op->name();
-    for (std::size_t pad = op->name().size(); pad < 9; ++pad) os << ' ';
+    // A 9-column name field; longer names still get one separating space.
+    const std::size_t len = op->name().size();
+    os << std::string(len < 9 ? 9 - len : 1, ' ');
     os << op->synopsis() << '\n';
   }
   os << "common request options: budget=<sec> id=<n> name=<str>; kernel=,\n"
