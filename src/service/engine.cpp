@@ -201,8 +201,11 @@ std::future<Response> AnalysisEngine::submit(Request req) {
   pool_.submit([this, prom, started, seq, token,
                 req = std::move(req)]() mutable {
     mark_started(seq);
-    prom->set_value(process(std::move(req), started, token));
+    Response resp = process(std::move(req), started, token);
+    // Forgotten before the future resolves: once a caller holds the
+    // response, a cancel of its id must report found=0.
     forget_flight(seq);
+    prom->set_value(std::move(resp));
   });
   return fut;
 }

@@ -41,7 +41,8 @@
 //            paper's cross-block move margin, default 1)
 //   cancel   <id>    cooperative cancel of a pending/running request; its
 //                    result line still arrives (stop=cancelled, not cached)
-//   drain            block until every previously submitted request is done
+//   drain            barrier on this stream: `drained` once every earlier
+//                    line is answered; no later line is read until then
 //   stats            live engine telemetry as one line (see below); takes
 //                    no arguments and completes no work
 //   metrics          full metrics registry in Prometheus text exposition
@@ -134,10 +135,10 @@
 //         sum(op.*.submitted) == completed over resolved operations, and
 //         memory_hits + disk_hits + coalesced + misses == completed on an
 //         idle engine (EngineStats::counters_tile). When serve runs with
-//         --slo-ms=<t>, the serve front end appends per-op latency-objective
+//         --slo-ms=<t>, its sessions append per-op latency-objective
 //         fields after the op groups: slo_ms=<t> slo.<name>.ok=<n>
 //         slo.<name>.breach=<n> ... (name-sorted; ok+breach counts
-//         completed responses against the objective, the error budget is
+//         emitted responses against the objective, the error budget is
 //         breach/(ok+breach))
 //   # TYPE rsat_<name> counter|gauge|histogram   ack for a metrics line:
 //         the whole registry in Prometheus text exposition format —

@@ -1,10 +1,5 @@
 #include "service/serve.hpp"
 
-#include <chrono>
-#include <cstdio>
-#include <deque>
-#include <future>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -22,17 +17,9 @@
 
 namespace rs::service {
 
-/// One ordered response slot: a pre-rendered line (ack / parse error), the
-/// future of a submitted request, or a deferred stats snapshot (rendered
-/// at emission time, so it reflects everything answered before it).
-struct Slot {
-  std::string pre;
-  std::future<Response> fut;
-  bool stats = false;
-  bool metrics = false;
-};
-
 struct SocketServer::Conn {
+  explicit Conn(SessionHub& hub) : session(hub) {}
+
   int fd = -1;
   std::string in_buf;   // bytes read, split into lines as '\n' arrives
   std::string out_buf;  // rendered lines awaiting a writable socket
@@ -42,15 +29,15 @@ struct SocketServer::Conn {
   /// thread); the buffer is compacted once drained (or past 1 MiB sent).
   std::size_t out_off = 0;
   bool out_empty() const { return out_off >= out_buf.size(); }
-  std::deque<Slot> slots;
-  int lineno = 0;
+  Session session;
   bool closed_read = false;  // peer EOF: finish answering, then close
   /// Rejected-line mode: keep reading and discarding the peer's bytes
   /// (closing with unread data queued would RST the connection and
   /// discard the error line before the peer could read it).
   bool discard_input = false;
   bool dead = false;         // unrecoverable socket error: drop now
-  /// True while the slot cap keeps this connection out of the POLLIN set;
+  /// True while its session refuses lines (slot cap or drain barrier),
+  /// keeping this connection out of the POLLIN set;
   /// each false->true edge counts one serve.backpressure_stalls.
   bool read_paused = false;
   /// Reset whenever bytes reach the peer; during drain, a connection is
@@ -59,40 +46,20 @@ struct SocketServer::Conn {
   support::Timer last_progress;
 };
 
-namespace {
-
-/// Trace spans and solve-log records are engine-produced; a configured
-/// trace_file / solve_log_file turns the matching collection on.
-EngineConfig with_collection_enabled(EngineConfig engine, bool trace,
-                                     bool solve_log) {
-  if (trace) engine.trace = true;
-  if (solve_log) engine.solve_log = true;
-  return engine;
-}
-
-}  // namespace
-
 SocketServer::SocketServer(const ServeConfig& cfg)
     : cfg_(cfg),
-      engine_(with_collection_enabled(cfg.engine, !cfg.trace_file.empty(),
-                                      !cfg.solve_log_file.empty())),
+      hub_(cfg.engine, cfg.session),
       listener_(cfg.host, cfg.port),
-      connections_(engine_.metrics().counter("serve.connections")),
-      open_conns_(engine_.metrics().gauge("serve.open_conns")),
-      requests_(engine_.metrics().counter("serve.requests")),
-      responses_(engine_.metrics().counter("serve.responses")),
-      parse_errors_(engine_.metrics().counter("serve.parse_errors")),
-      bytes_in_(engine_.metrics().counter("serve.bytes_in")),
-      bytes_out_(engine_.metrics().counter("serve.bytes_out")),
+      connections_(engine().metrics().counter("serve.connections")),
+      open_conns_(engine().metrics().gauge("serve.open_conns")),
+      requests_(engine().metrics().counter("serve.requests")),
+      responses_(engine().metrics().counter("serve.responses")),
+      parse_errors_(engine().metrics().counter("serve.parse_errors")),
+      bytes_in_(engine().metrics().counter("serve.bytes_in")),
+      bytes_out_(engine().metrics().counter("serve.bytes_out")),
       backpressure_stalls_(
-          engine_.metrics().counter("serve.backpressure_stalls")),
-      slow_requests_(engine_.metrics().counter("serve.slow_requests")) {
-  if (!cfg_.trace_file.empty()) {
-    trace_sink_ = std::make_unique<TraceSink>(cfg_.trace_file);
-  }
-  if (!cfg_.solve_log_file.empty()) {
-    solve_log_sink_ = std::make_unique<TraceSink>(cfg_.solve_log_file);
-  }
+          engine().metrics().counter("serve.backpressure_stalls")),
+      slow_requests_(engine().metrics().counter("serve.slow_requests")) {
   if (!cfg_.port_file.empty()) {
     RS_REQUIRE(support::write_file_atomic(cfg_.port_file,
                                           std::to_string(port()) + "\n"),
@@ -110,11 +77,6 @@ ServeStats SocketServer::serve_stats() const {
   out.requests = requests_.value();
   out.parse_errors = parse_errors_.value();
   out.responses = responses_.value();
-  out.bytes_in = bytes_in_.value();
-  out.bytes_out = bytes_out_.value();
-  out.backpressure_stalls = backpressure_stalls_.value();
-  out.slow_requests = slow_requests_.value();
-  out.open_conns = open_conns_.value();
   return out;
 }
 
@@ -129,7 +91,7 @@ void SocketServer::accept_new() {
       accept_backoff_ = 50;
       return;
     }
-    auto conn = std::make_unique<Conn>();
+    auto conn = std::make_unique<Conn>(hub_);
     conn->fd = fd;
     conns_.push_back(std::move(conn));
     connections_.inc();
@@ -161,186 +123,53 @@ void SocketServer::read_conn(Conn& c) {
   }
 }
 
-/// Queues a status=error result line (shared by parse failures and the
-/// oversized-line guard, so the wire format cannot diverge between them).
-void SocketServer::emit_error_line(Conn& c, const std::string& msg) {
-  std::ostringstream os;
-  os << "result id=" << next_id_++ << " status=error name=line" << c.lineno
-     << " msg=" << escape_field(msg);
-  Slot slot;
-  slot.pre = os.str();
-  c.slots.push_back(std::move(slot));
-  parse_errors_.inc();
-}
-
-void SocketServer::handle_line(Conn& c, const std::string& line) {
-  if (is_blank_or_comment(line)) return;
-  Slot slot;
-  try {
-    support::Timer parse;
-    Command cmd = parse_command_line(line, next_id_, cfg_.protocol);
-    switch (cmd.kind) {
-      case CommandKind::Submit:
-        ++next_id_;
-        cmd.request.parse_ms = parse.millis();
-        slot.fut = engine_.submit(std::move(cmd.request));
-        requests_.inc();
-        break;
-      case CommandKind::Cancel:
-        slot.pre = render_cancel_ack(cmd.cancel_id,
-                                     engine_.cancel(cmd.cancel_id));
-        break;
-      case CommandKind::Drain:
-        // In-order emission behind this connection's earlier slots IS the
-        // drain barrier: by the time this ack renders, every prior request
-        // on the connection has had its result line rendered first.
-        slot.pre = render_drain_ack();
-        break;
-      case CommandKind::Stats:
-        slot.stats = true;  // snapshot taken when the slot is emitted
-        break;
-      case CommandKind::Metrics:
-        slot.metrics = true;  // exposition rendered when the slot is emitted
-        break;
-    }
-  } catch (const std::exception& e) {
-    emit_error_line(c, e.what());
-    return;
+/// Feeds one line to the connection's session, counting what it was.
+void SocketServer::feed(Conn& c, std::string line) {
+  switch (c.session.feed(std::move(line))) {
+    case LineKind::Submitted: requests_.inc(); break;
+    case LineKind::Error: parse_errors_.inc(); break;
+    case LineKind::Skipped:
+    case LineKind::Control: break;
   }
-  c.slots.push_back(std::move(slot));
 }
 
 void SocketServer::process_lines(Conn& c) {
   if (c.discard_input) return;  // rejected-line mode: input is drained only
   std::size_t start = 0;
-  while (c.slots.size() < cfg_.max_pending_per_conn) {
+  while (c.session.accepting()) {
     const std::size_t nl = c.in_buf.find('\n', start);
     if (nl == std::string::npos) break;
     std::string line = c.in_buf.substr(start, nl - start);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
     start = nl + 1;
-    ++c.lineno;
-    handle_line(c, line);
+    feed(c, std::move(line));
   }
   c.in_buf.erase(0, start);
   // Peer EOF with an unterminated final line: answer it, matching `rsat
   // batch` (whose getline yields a trailing line without '\n').
   if (c.closed_read && !c.in_buf.empty() &&
       c.in_buf.find('\n') == std::string::npos &&
-      c.in_buf.size() <= kMaxLineBytes &&
-      c.slots.size() < cfg_.max_pending_per_conn) {
+      c.in_buf.size() <= kMaxLineBytes && c.session.accepting()) {
     std::string line = std::move(c.in_buf);
     c.in_buf.clear();
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    ++c.lineno;
-    handle_line(c, line);
+    feed(c, std::move(line));
   }
   // The slot cap bounds *answered* lines but not a line that never ends:
   // a peer streaming newline-free bytes would otherwise grow in_buf until
   // OOM. Past the cap, answer with an error and stop reading the
   // connection (pending responses still flush). Only a genuinely
-  // unterminated line counts — bytes kept back by the slot cap still
-  // contain newlines and drain as responses flush.
+  // unterminated line counts — bytes kept back by the slot cap or a drain
+  // barrier still contain newlines and drain as responses flush.
   if (c.in_buf.size() > kMaxLineBytes &&
       c.in_buf.find('\n') == std::string::npos) {
-    ++c.lineno;
-    emit_error_line(c, "request line exceeds " +
-                           std::to_string(kMaxLineBytes) + " bytes");
+    c.session.reject("request line exceeds " +
+                     std::to_string(kMaxLineBytes) + " bytes");
+    parse_errors_.inc();
     c.in_buf.clear();
     c.in_buf.shrink_to_fit();
     // Keep reading (and discarding) the rest of the peer's stream so the
     // error line is delivered over an orderly close, not lost to a RST.
     c.discard_input = true;
   }
-}
-
-void SocketServer::pump_ready(Conn& c) {
-  while (!c.slots.empty()) {
-    Slot& s = c.slots.front();
-    // The stall clock measures how long the peer has left bytes untaken,
-    // so it starts when the write buffer goes from empty to non-empty —
-    // waiting on our own solver is not the peer's stall.
-    if (c.out_empty()) c.last_progress.reset();
-    if (s.stats) {
-      c.out_buf += render_stats_line(engine_.stats());
-      if (cfg_.slo_ms > 0) c.out_buf += render_slo_fields();
-      c.out_buf += '\n';
-    } else if (s.metrics) {
-      // Multi-line body; to_prometheus() frames it with a terminating
-      // "# EOF" line (and ends newline-terminated), so nothing to append.
-      c.out_buf += engine_.metrics().to_prometheus();
-    } else if (s.pre.empty()) {
-      if (s.fut.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-        return;  // preserve request order: stop at the first unresolved
-      }
-      const Response resp = s.fut.get();
-      support::Timer encode;
-      const std::string line = render_response(resp);
-      c.out_buf += line;
-      c.out_buf += '\n';
-      if (cfg_.slow_ms > 0 && resp.millis >= cfg_.slow_ms) {
-        slow_requests_.inc();
-        std::fprintf(stderr,
-                     "rsat serve: slow request id=%llu name=%s ms=%.3f "
-                     "cached=%d\n",
-                     static_cast<unsigned long long>(resp.id),
-                     resp.name.c_str(), resp.millis, resp.cache_hit ? 1 : 0);
-      }
-      if (resp.trace != nullptr && trace_sink_ != nullptr) {
-        resp.trace->encode_ms = encode.millis();
-        resp.trace->bytes = line.size() + 1;
-        trace_sink_->write(*resp.trace);
-      }
-      if (resp.solve_log != nullptr && solve_log_sink_ != nullptr) {
-        solve_log_sink_->write_line(render_solve_log_json(
-            *resp.solve_log, support::unix_now_seconds()));
-      }
-      if (cfg_.slo_ms > 0) record_slo(resp);
-    } else {
-      c.out_buf += s.pre;
-      c.out_buf += '\n';
-    }
-    c.slots.pop_front();
-    responses_.inc();
-  }
-}
-
-void SocketServer::record_slo(const Response& resp) {
-  // Error payloads that never resolved an operation have nowhere to count.
-  if (resp.payload == nullptr || resp.payload->op == nullptr) return;
-  const std::string name(resp.payload->op->name());
-  auto it = slo_.find(name);
-  if (it == slo_.end()) {
-    const std::string prefix = "slo." + name + ".";
-    SloMetrics fresh;
-    fresh.ok = &engine_.metrics().counter(prefix + "ok");
-    fresh.breach = &engine_.metrics().counter(prefix + "breach");
-    it = slo_.emplace(name, fresh).first;
-  }
-  (resp.millis > cfg_.slo_ms ? it->second.breach : it->second.ok)->inc();
-}
-
-std::string SocketServer::render_slo_fields() const {
-  char buf[96];
-  std::string out;
-  std::snprintf(buf, sizeof buf, " slo_ms=%.3f", cfg_.slo_ms);
-  out += buf;
-  for (const auto& [name, m] : slo_) {  // std::map: name-sorted
-    const std::uint64_t ok = m.ok->value();
-    const std::uint64_t breach = m.breach->value();
-    const double rate =
-        ok + breach == 0
-            ? 0.0
-            : static_cast<double>(breach) / static_cast<double>(ok + breach);
-    std::snprintf(buf, sizeof buf,
-                  " slo.%s.ok=%llu slo.%s.breach=%llu slo.%s.breach_rate=%.3f",
-                  name.c_str(), static_cast<unsigned long long>(ok),
-                  name.c_str(), static_cast<unsigned long long>(breach),
-                  name.c_str(), rate);
-    out += buf;
-  }
-  return out;
 }
 
 void SocketServer::flush_conn(Conn& c) {
@@ -377,7 +206,7 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
       // future, so the pump below flushes a result line (stop=cancelled)
       // for everything already submitted.
       draining = true;
-      engine_.cancel_all();
+      engine().cancel_all();
       // The stall clocks start at the drain: a connection idle since long
       // before SIGINT still deserves the full grace to consume its
       // pending results.
@@ -395,13 +224,13 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
       Conn& c = *cp;
       short events = 0;
       if (!draining && !c.closed_read &&
-          (c.discard_input ||
-           c.slots.size() < cfg_.max_pending_per_conn)) {
+          (c.discard_input || c.session.accepting())) {
         events |= POLLIN;
         c.read_paused = false;
       } else if (!draining && !c.closed_read && !c.read_paused) {
-        // Slot cap reached: this connection leaves the POLLIN set until
-        // responses flush. Count the edge, not the (per-iteration) state.
+        // The slot cap or a drain barrier: this connection leaves the
+        // POLLIN set until responses flush. Count the edge, not the
+        // (per-iteration) state.
         c.read_paused = true;
         backpressure_stalls_.inc();
       }
@@ -429,25 +258,38 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
     for (auto& cp : conns_) {
       Conn& c = *cp;
       if (c.dead) continue;
-      if (!draining) process_lines(c);
-      pump_ready(c);
+      // The stall clock measures how long the peer has left bytes untaken,
+      // so it starts when the write buffer goes from empty to non-empty —
+      // waiting on our own solver is not the peer's stall.
+      if (c.out_empty()) c.last_progress.reset();
+      // An emitted drain ack (or a freed slot) lets the session accept
+      // again: the lines buffered behind it are fed in this same pass, not
+      // after the next poll timeout.
+      do {
+        if (!draining) process_lines(c);
+        const Emitted emitted = c.session.emit(&c.out_buf, false);
+        responses_.inc(emitted.lines);
+        slow_requests_.inc(emitted.slow);
+      } while (!draining && c.session.accepting() &&
+               c.in_buf.find('\n') != std::string::npos);
       flush_conn(c);
     }
 
-    // Reap: dead sockets immediately; EOF'd connections once fully
-    // answered; during drain, connections whose queue has emptied — and
-    // peers that made no write progress for the whole grace period.
+    // Reap: dead sockets immediately; EOF'd connections once every line
+    // they sent is answered; during drain, connections whose queue has
+    // emptied — and peers that made no write progress for the whole grace
+    // period.
     std::erase_if(conns_, [&](const std::unique_ptr<Conn>& cp) {
       const Conn& c = *cp;
-      const bool answered = c.slots.empty() && c.out_empty();
+      const bool answered = c.session.idle() && c.out_empty();
       // Stalled = bytes are waiting and the peer has taken none for the
       // whole grace period. A connection still waiting on its own solves
       // (empty out_buf) is never "stalled" — its results are about to be
       // cancelled-and-flushed, and the clock resets when they queue.
       const bool stalled = draining && !c.out_empty() &&
                            c.last_progress.seconds() > kDrainGraceSeconds;
-      if (c.dead || (c.closed_read && answered) || (draining && answered) ||
-          stalled) {
+      if (c.dead || (c.closed_read && answered && c.in_buf.empty()) ||
+          (draining && answered) || stalled) {
         support::close_fd(c.fd);
         open_conns_.sub(1);
         return true;
@@ -459,9 +301,7 @@ void SocketServer::run(const std::function<bool()>& should_stop) {
   }
   // All result lines are out (or their peers gone); let solver threads
   // finish their cancelled epilogues before the engine is reused/queried.
-  engine_.wait_idle();
-  if (trace_sink_ != nullptr) trace_sink_->flush();
-  if (solve_log_sink_ != nullptr) solve_log_sink_->flush();
+  engine().wait_idle();
 #else
   static_cast<void>(should_stop);
   RS_REQUIRE(false, "rsat serve requires POSIX sockets");

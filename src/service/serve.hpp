@@ -4,30 +4,13 @@
 // One network thread multiplexes the listener and every client connection
 // with poll(2); solves run on the shared AnalysisEngine thread pool, so a
 // slow peer never blocks compute and a long solve never blocks the
-// network. Per connection the server keeps an ordered queue of response
-// slots (a pre-rendered ack/error line, or the future of a submitted
-// request) and writes result lines back in request order as each future
-// resolves — an interactive client sees its result as soon as it is ready,
-// not at connection close.
-//
-// Protocol semantics over TCP:
-//  * analyze/reduce lines submit to the engine exactly as `rsat batch`
-//    does; unset id= takes a server-wide sequence number (connections
-//    share one engine, one store, and one id namespace — an explicit
-//    cancel id= therefore reaches a matching request on any connection).
-//  * cancel answers immediately with its ack.
-//  * stats answers with a live telemetry line (render_stats_line); like
-//    every ack it is emitted in order behind this connection's earlier
-//    slots, so the snapshot reflects at least everything the connection
-//    already saw answered.
-//  * drain's ack is emitted in order *behind this connection's* earlier
-//    requests, so when the client reads "drained" everything it submitted
-//    before the drain has already been answered. Other connections are
-//    not stalled (unlike batch, which quiesces its single stream).
-//  * malformed lines answer with a status=error result line; the
-//    connection stays up.
-//  * backpressure: a connection with max_pending_per_conn unanswered
-//    requests stops being read until responses flush.
+// network. Each connection is one service::Session (service/session.hpp),
+// driven only through its non-blocking methods: it answers in request
+// order as each future resolves, and a malformed line answers status=error
+// while the connection stays up. Connections share one engine, store and
+// id sequence, so a cancel id= reaches a request on any connection. A
+// connection whose session stops accepting lines (the slot cap, or a drain
+// not yet answered) leaves the poll set for input until responses flush.
 //
 // Shutdown (shutdown() from any thread, or the should_stop poll — wired
 // to SIGINT by rsat serve): stop accepting, cooperatively cancel every
@@ -39,14 +22,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "service/engine.hpp"
-#include "service/protocol.hpp"
-#include "service/trace.hpp"
+#include "service/session.hpp"
 #include "support/socket.hpp"
 
 namespace rs::service {
@@ -56,41 +37,24 @@ struct ServeConfig {
   /// 0 binds an ephemeral port; SocketServer::port() reports the real one.
   int port = 0;
   EngineConfig engine;
-  ProtocolOptions protocol;
+  /// Protocol defaults, sinks and latency accounting shared by every
+  /// connection's session; responses over session.slow_ms also count as
+  /// serve.slow_requests.
+  SessionConfig session;
   /// When non-empty, the bound port is written here (atomic write-rename)
   /// once the server is listening — scripts wait for this file instead of
   /// racing the log output.
   std::string port_file;
-  /// Unanswered-request cap per connection before reads pause.
-  std::size_t max_pending_per_conn = 256;
-  /// When non-empty, enables engine trace spans and streams one JSONL
-  /// event per request to this file (service/trace.hpp).
-  std::string trace_file;
-  /// When non-empty, enables engine solve-log records and streams one JSONL
-  /// record per request to this file (SolveLogRecord, service/trace.hpp).
-  std::string solve_log_file;
-  /// > 0 logs every request slower than this (wall-clock submit->respond)
-  /// to stderr and counts it as serve.slow_requests.
-  double slow_ms = 0;
-  /// > 0 enables per-operation latency objectives: every completed response
-  /// counts as slo.<op>.ok or slo.<op>.breach (millis vs this bound), and
-  /// the `stats` verb gains slo_ms/slo.<op>.* error-budget fields.
-  double slo_ms = 0;
 };
 
-/// Snapshot view over the server's serve.* registry counters (the same
-/// registry AnalysisEngine::metrics() exposes, so the `stats` verb, the
-/// exit summary, and --metrics-json all read one source of truth).
+/// The serve.* registry counters the exit summary reports. Every serve.*
+/// metric lives in the engine registry, so the metrics verb and
+/// --metrics-json read the same values.
 struct ServeStats {
   std::uint64_t connections = 0;   // accepted over the server's lifetime
   std::uint64_t requests = 0;      // analyze/reduce submissions
   std::uint64_t parse_errors = 0;  // lines answered with status=error
   std::uint64_t responses = 0;     // result/ack lines written
-  std::uint64_t bytes_in = 0;      // payload bytes received
-  std::uint64_t bytes_out = 0;     // payload bytes sent
-  std::uint64_t backpressure_stalls = 0;  // read-pause edges (slot cap hit)
-  std::uint64_t slow_requests = 0;  // responses over ServeConfig::slow_ms
-  std::int64_t open_conns = 0;      // currently connected peers
 };
 
 class SocketServer {
@@ -116,7 +80,7 @@ class SocketServer {
   SocketServer& operator=(const SocketServer&) = delete;
 
   int port() const { return listener_.port(); }
-  AnalysisEngine& engine() { return engine_; }
+  AnalysisEngine& engine() { return hub_.engine(); }
 
   /// Serves until shutdown() is called or `should_stop` (polled every
   /// loop iteration, ~20 ms) returns true, then performs the
@@ -128,44 +92,31 @@ class SocketServer {
 
   ServeStats serve_stats() const;
 
-  /// Non-null when ServeConfig::trace_file is set.
-  const TraceSink* trace_sink() const { return trace_sink_.get(); }
-
-  /// Non-null when ServeConfig::solve_log_file is set.
-  const TraceSink* solve_log_sink() const { return solve_log_sink_.get(); }
+  /// The engine, sinks and id sequence every connection's session shares.
+  const SessionHub& hub() const { return hub_; }
 
  private:
   struct Conn;
 
-  // Concurrency discipline: the server holds no mutex on purpose. All
-  // connection state (conns_, each Conn's buffers and slot queue, next_id_,
-  // accept_backoff_) is owned by the single thread inside run(); the only
-  // cross-thread channels are stop_ (an atomic flag set by shutdown()),
-  // the engine's futures (resolved on pool workers, only *read* here), and
-  // the lock-free metric references below. Adding a second network thread
-  // means introducing support::Mutex + RSAT_GUARDED_BY here first — do not
-  // reach for a bare std::mutex (lint rule `bare-mutex`).
+  // Concurrency discipline: the server holds no mutex of its own. All
+  // connection state (conns_, each Conn's buffers, accept_backoff_) is
+  // owned by the single thread inside run(); the only cross-thread
+  // channels are stop_ (an atomic flag set by shutdown()), the sessions
+  // (which lock internally), and the lock-free metric references below.
+  // Adding a second network thread means introducing support::Mutex +
+  // RSAT_GUARDED_BY here first — do not reach for a bare std::mutex (lint
+  // rule `bare-mutex`).
 
   void accept_new();
   void read_conn(Conn& c);
   void process_lines(Conn& c);
-  void handle_line(Conn& c, const std::string& line);
-  void emit_error_line(Conn& c, const std::string& msg);
-  void pump_ready(Conn& c);
+  void feed(Conn& c, std::string line);
   void flush_conn(Conn& c);
-  /// Counts one response against the --slo-ms objective (slo.<op>.*).
-  void record_slo(const Response& resp);
-  /// " slo_ms=... slo.<op>.ok=... slo.<op>.breach=... slo.<op>.breach_rate=..."
-  /// appended to the stats verb line when --slo-ms is set (name-sorted).
-  std::string render_slo_fields() const;
 
   ServeConfig cfg_;
-  AnalysisEngine engine_;
+  SessionHub hub_;
   support::ListenSocket listener_;
-  std::unique_ptr<TraceSink> trace_sink_;
-  std::unique_ptr<TraceSink> solve_log_sink_;
   std::atomic<bool> stop_{false};
-  std::uint64_t next_id_ = 1;
   /// Loop iterations left to skip polling the listener after an accept
   /// failure that leaves the connection queued (e.g. fd exhaustion).
   int accept_backoff_ = 0;
@@ -183,16 +134,6 @@ class SocketServer {
   support::Counter& bytes_out_;
   support::Counter& backpressure_stalls_;
   support::Counter& slow_requests_;
-
-  /// Per-operation SLO counters (slo.<op>.ok / slo.<op>.breach), lazily
-  /// registered on an op's first completed response. Owned by the single
-  /// network thread like all connection state; the counters themselves live
-  /// in the engine registry so stats/metrics snapshots see them.
-  struct SloMetrics {
-    support::Counter* ok = nullptr;
-    support::Counter* breach = nullptr;
-  };
-  std::map<std::string, SloMetrics> slo_;
 };
 
 }  // namespace rs::service

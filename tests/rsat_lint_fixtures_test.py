@@ -25,10 +25,12 @@ EXPECT = {
     "src/core/bad_metric_literal.cpp": {"metric-literal": 9},
     "src/service/bad_iostream.cpp": {"iostream": 1},
     "src/service/bad_suppression.cpp": {"bad-suppression": 2},
+    "tools/bad_bare_mutex.cpp": {"bare-mutex": 5},
 }
 CLEAN = [
     "src/service/suppressed_ok.cpp",
     "src/support/clean_support.cpp",
+    "tools/rsat.cpp",
 ]
 
 LINE_RE = re.compile(r"^(?P<file>[^:]+):(?P<line>\d+): \[(?P<rule>[a-z-]+)\]")

@@ -13,7 +13,10 @@
 #   4. restart with the same --cache-dir: the same request must be served
 #      from the disk tier (cached=1 with an empty memory store, and the
 #      summary reports a disk hit), and the stats verb's key schema must be
-#      byte-stable between the cold and warm sessions.
+#      byte-stable between the cold and warm sessions,
+#   5. one stream through both front ends: the batch example manifest plus
+#      a malformed line and a stats line, fed to `rsat batch` and to a
+#      fresh server, must give the same result lines modulo cached=/ms=.
 # Usage: serve_e2e.sh /path/to/rsat
 set -u
 
@@ -252,5 +255,37 @@ grep -q '1 disk hits' "$WORK/log2" ||
 check_telemetry "$WORK/log2" 1
 grep -q '"tier":"disk"' "$WORK/log2.trace.jsonl" ||
   fail "restart trace event did not attribute the disk tier"
+
+# --- one stream, both front ends: the same result lines --------------------
+MANIFEST="$(dirname "$0")/data/batch_manifest.txt"
+{ cat "$MANIFEST"; printf 'frobnicate kernel=fir8\nstats\n'; } > "$WORK/stream.txt"
+"$RSAT" batch "$WORK/stream.txt" --threads 2 > "$WORK/batch.out" \
+    2> "$WORK/log.batch"
+[ $? = 1 ] || fail "batch over the stream must exit 1 (one malformed line)"
+REPLIES="$(wc -l < "$WORK/batch.out")"
+start_server "$WORK/log3"  # fresh server: its ids start at 1, like batch's
+exec 3<>"/dev/tcp/127.0.0.1/$PORT" || fail "cannot connect to port $PORT"
+cat "$WORK/stream.txt" >&3
+: > "$WORK/serve.out"
+for i in $(seq 1 "$REPLIES"); do
+  IFS= read -r -t 60 line <&3 || fail "timed out waiting for stream reply $i"
+  printf '%s\n' "$line" >> "$WORK/serve.out"
+done
+exec 3<&- 3>&-
+stop_server "$WORK/log3"
+result_lines() {
+  grep '^result ' "$1" | sed -E 's/ (cached|ms)=[^ ]*//g'
+}
+[ "$(result_lines "$WORK/batch.out" | wc -l)" -ge 36 ] ||
+  fail "batch answered too few result lines: $(cat "$WORK/batch.out")"
+grep -q ' status=error name=line[0-9]* ' "$WORK/batch.out" ||
+  fail "batch did not answer the malformed line"
+[ "$(result_lines "$WORK/batch.out")" = "$(result_lines "$WORK/serve.out")" ] ||
+  fail "batch and serve result lines differ beyond cached=/ms=:
+$(diff <(result_lines "$WORK/batch.out") <(result_lines "$WORK/serve.out"))"
+[ "$(tail -n 1 "$WORK/batch.out" | cut -d' ' -f1)" = stats ] ||
+  fail "batch stream did not end with its stats line"
+[ "$(tail -n 1 "$WORK/serve.out" | cut -d' ' -f1)" = stats ] ||
+  fail "serve stream did not end with its stats line"
 
 echo "PASS serve_e2e"

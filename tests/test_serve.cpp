@@ -163,9 +163,9 @@ TEST(Serve, TraceFileCapturesOneEventPerRequest) {
   {
     ServeConfig cfg;
     cfg.engine.threads = 2;
-    cfg.trace_file = path.string();
+    cfg.session.trace_file = path.string();
     ServerFixture server(cfg);
-    ASSERT_NE(server->trace_sink(), nullptr);
+    ASSERT_NE(server->hub().trace_sink(), nullptr);
     LineClient client(server->port());
     // The second identical request goes out only after the first answer:
     // sent together, it could win single-flight leadership under load.
@@ -174,8 +174,8 @@ TEST(Serve, TraceFileCapturesOneEventPerRequest) {
     client.send("analyze kernel=lin-ddot\ndrain\n");
     EXPECT_EQ(service::parse_fields(client.next_line()).at("cached"), "1");
     EXPECT_EQ(client.next_line(), "drained");
-    EXPECT_EQ(server->trace_sink()->written(), 2u);
-    EXPECT_EQ(server->trace_sink()->dropped(), 0u);
+    EXPECT_EQ(server->hub().trace_sink()->written(), 2u);
+    EXPECT_EQ(server->hub().trace_sink()->dropped(), 0u);
   }  // shutdown flushes the sink
   std::string text;
   ASSERT_TRUE(support::read_file_to_string(path.string(), &text));
@@ -279,7 +279,8 @@ TEST(Serve, MetricsVerbRendersStablePrometheusExposition) {
 TEST(Serve, SloObjectivesCountBreachesAndExtendStats) {
   ServeConfig cfg;
   cfg.engine.threads = 2;
-  cfg.slo_ms = 1e-6;  // unmeetable: every completed response is a breach
+  // Unmeetable: every completed response is a breach.
+  cfg.session.slo_ms = 1e-6;
   ServerFixture server(cfg);
   LineClient client(server->port());
 
@@ -312,9 +313,9 @@ TEST(Serve, SolveLogFileCapturesOneRecordPerRequest) {
   {
     ServeConfig cfg;
     cfg.engine.threads = 2;
-    cfg.solve_log_file = path.string();
+    cfg.session.solve_log_file = path.string();
     ServerFixture server(cfg);
-    ASSERT_NE(server->solve_log_sink(), nullptr);
+    ASSERT_NE(server->hub().solve_log_sink(), nullptr);
     LineClient client(server->port());
     // Second identical request only after the first answer (see
     // TraceFileCapturesOneEventPerRequest).
@@ -323,8 +324,8 @@ TEST(Serve, SolveLogFileCapturesOneRecordPerRequest) {
     client.send("analyze kernel=lin-ddot\ndrain\n");
     EXPECT_EQ(service::parse_fields(client.next_line()).at("cached"), "1");
     EXPECT_EQ(client.next_line(), "drained");
-    EXPECT_EQ(server->solve_log_sink()->written(), 2u);
-    EXPECT_EQ(server->solve_log_sink()->dropped(), 0u);
+    EXPECT_EQ(server->hub().solve_log_sink()->written(), 2u);
+    EXPECT_EQ(server->hub().solve_log_sink()->dropped(), 0u);
   }  // shutdown flushes the sink
   std::string text;
   ASSERT_TRUE(support::read_file_to_string(path.string(), &text));
@@ -458,6 +459,41 @@ TEST(Serve, UnterminatedFinalLineIsAnsweredAtEof) {
   const auto fields = service::parse_fields(client.next_line());
   EXPECT_EQ(fields.at("status"), "ok");
   EXPECT_EQ(fields.at("name"), "fir8");
+}
+
+TEST(Serve, HalfClosedPeerPastTheSlotCapGetsEveryAnswer) {
+  // More lines than the slot cap, then EOF: the lines held back by the cap
+  // must still be answered once the first ones flush, not dropped when
+  // the connection looks answered.
+  ServerFixture server;
+  LineClient client(server->port());
+  constexpr int kLines = 300;
+  std::string lines;
+  for (int i = 0; i < kLines; ++i) lines += "cancel 999\n";
+  client.send(lines);
+  client.close_write();
+  for (int i = 0; i < kLines; ++i) {
+    ASSERT_EQ(client.next_line(), "cancelled id=999 found=0") << i;
+  }
+}
+
+TEST(Serve, LinesBehindADrainAreFedOnceItsAckIsOut) {
+  // Sent together, the lines behind each drain wait in the input buffer
+  // until its ack is emitted. They must be fed in that same loop pass: a
+  // drain that waited for the next poll timeout (20 ms) each time would
+  // take at least a second here.
+  ServerFixture server;
+  LineClient client(server->port());
+  constexpr int kPairs = 50;
+  std::string lines;
+  for (int i = 0; i < kPairs; ++i) lines += "cancel 999\ndrain\n";
+  const support::Timer t;
+  client.send(lines);
+  for (int i = 0; i < kPairs; ++i) {
+    ASSERT_EQ(client.next_line(), "cancelled id=999 found=0") << i;
+    ASSERT_EQ(client.next_line(), "drained") << i;
+  }
+  EXPECT_LT(t.seconds(), 0.75);
 }
 
 TEST(Serve, OversizedLineIsRejectedInsteadOfBufferedForever) {

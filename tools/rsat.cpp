@@ -1,96 +1,67 @@
 // rsat — command-line front end for the register saturation library.
+// `rsat` with no arguments prints every command's flags and the registered
+// operations.
 //
-//   rsat analyze <file.ddg> [--engine greedy|exact|ilp] [--budget S]
-//       [--stats]
-//       RS per register type, with witnesses proven or estimated.
-//   rsat reduce <file.ddg> --limits N[,N...] [--exact] [--budget S]
-//       [--stats] [-o out.ddg]
-//       figure-1 pipeline; writes the register-safe DDG.
+//   rsat analyze <file.ddg>   RS per register type, with witnesses proven
+//       or estimated (--engine greedy|exact|ilp, --budget S, --stats).
+//   rsat reduce <file.ddg> --limits N[,N...]   figure-1 pipeline; -o
+//       writes the register-safe DDG atomically (a failed write exits 1).
+//       For both, an unknown flag or one missing its value prints the
+//       usage text and exits 2.
 //   rsat <operation> <file.ddg | kernel=<name> | ...> [key=value ...]
-//       one-shot protocol request for any registered service operation
-//       (minreg, spill, schedule, ... — `rsat` with no arguments lists
-//       them). Options are the protocol's own key=value tokens, parsed by
-//       the same parser batch and serve use, and the answer is the
-//       protocol result line — byte-identical to what batch/serve emit
-//       for the same request (modulo cached=/ms=).
-//   rsat dot <file.ddg>
-//       Graphviz dump.
-//   rsat kernels
-//       list built-in reconstructed kernels.
-//   rsat dump <kernel> [--vliw]
-//       emit a built-in kernel in the .ddg text format.
-//   rsat batch [manifest] [--threads N] [--cache-mb M] [--cache-dir D]
-//       [--trace-file F] [--solve-log F] [--metrics-json F] [--vliw]
-//       stream protocol requests (stdin or manifest file) through the
-//       cached concurrent analysis engine; result lines on stdout, a
-//       summary with hit rate (split by memory/disk tier) and latency
-//       percentiles on stderr. Understands cancel/drain/stats/metrics
-//       control verbs; Ctrl-C (SIGINT) stops reading, cancels in-flight
-//       solves cooperatively, prints every pending result plus the
-//       summary, and exits 0.
-//   rsat serve [--host H] [--port P] [--port-file F] [--threads N]
-//       [--cache-mb M] [--cache-dir D] [--trace-file F] [--solve-log F]
-//       [--metrics-json F] [--metrics-interval-s N] [--slow-ms T]
-//       [--slo-ms T] [--vliw]
-//       poll-based TCP front end speaking the same line protocol, one
-//       stream per connection (port 0 = ephemeral; the bound port goes to
-//       stderr and --port-file). SIGINT cancels in-flight solves, flushes
-//       every pending result line, then shuts down cleanly.
-//   rsat top --port P [--host H] [--interval-s N] [--once]
-//       poll a running serve's `stats` verb and render a refreshing
-//       per-operation terminal table (requests, hit/miss split, p50, SLO
-//       error budget when the server runs with --slo-ms). --once prints a
-//       single snapshot without clearing the screen and exits.
+//       one-shot protocol request for any registered service operation.
+//       Options are the protocol's own key=value tokens, parsed by the
+//       same parser batch and serve use, and the answer is the protocol
+//       result line — byte-identical to what batch/serve emit for the same
+//       request (modulo cached=/ms=).
+//   rsat dot | kernels | programs | dump | dumpprog   Graphviz dump, the
+//       built-in corpora, and their .ddg/.prog text.
+//   rsat batch [manifest]   one service::Session (service/session.hpp)
+//       over stdin or the manifest: a reader thread feeds lines, a printer
+//       thread prints each result line the moment its response resolves,
+//       in request order; the summary (hit rate by tier, per-op rows,
+//       latency percentiles) goes to stderr. Ctrl-C (SIGINT) stops
+//       reading, cancels in-flight solves cooperatively, prints every
+//       pending result plus the summary, and exits 0.
+//   rsat serve   poll-based TCP front end, one Session per connection
+//       (--port 0 = ephemeral; the bound port goes to stderr and
+//       --port-file). SIGINT cancels in-flight solves, flushes every
+//       pending result line, then shuts down cleanly.
+//   rsat top --port P   polls a running serve's `stats` verb and renders a
+//       refreshing per-operation table (SLO error budget with --slo-ms);
+//       --once prints one snapshot and exits.
 //
-// --cache-dir D enables the persistent on-disk result tier under D (shared
-// by batch and serve; entries survive restarts and are keyed by the
-// canonical DDG fingerprint + request options). --budget S bounds total
-// solve seconds (0 = no deadline); S must be a finite non-negative number.
-// --stats prints aggregate solver statistics (nodes, prunes, simplex
-// iterations, stop cause).
+// Both stream front ends speak the cancel/drain/stats/metrics control
+// verbs; drain is a barrier on its own stream (no later line is read until
+// every earlier one is answered). --cache-dir D enables the persistent
+// on-disk result tier under D (entries survive restarts and are keyed by
+// the canonical fingerprint + request options). --budget S bounds total
+// solve seconds (0 = no deadline).
 //
-// Observability (batch and serve; see README "Observability"):
-//   --trace-file F    one JSONL trace event per request (parse, queue,
-//                     fingerprint, store lookup, solve, encode phases plus
-//                     cache tier / stop cause / node count) to F
-//   --solve-log F     one JSONL solve-log record per request to F: cheap
-//                     canonical input features (ops, arcs, critical path,
-//                     width, type mix) plus the outcome (engine/winner,
-//                     stop cause, nodes, per-phase ms, cache tier) — the
-//                     training corpus for adaptive strategy prediction
-//   --metrics-json F  full metrics-registry snapshot (counters, gauges,
-//                     histogram quantiles) written to F at exit
-//   --metrics-interval-s N  serve only: atomically rewrite --metrics-json
-//                     every N seconds (temp + rename), so a crashed serve
-//                     still leaves a recent snapshot on disk
-//   --slow-ms T       serve only: log requests slower than T ms to stderr
-//   --slo-ms T        serve only: per-op latency objective; completed
-//                     responses count as slo.<op>.ok or slo.<op>.breach
-//                     and the stats verb gains slo.* error-budget fields
-// The `stats` protocol verb returns the same registry live, as one
-// key=value line, over batch stdin or a serve connection; the `metrics`
-// verb returns it in Prometheus text exposition format (terminated by a
-// literal `# EOF` line).
+// Observability (README "Observability" has the field tables):
+// --trace-file F and --solve-log F stream one JSONL trace event and one
+// solve-log record (input features plus outcome) per request to F;
+// --metrics-json F writes the whole metrics registry at exit (serve:
+// also every --metrics-interval-s N seconds, atomically). Serve only:
+// --slow-ms T logs slower requests to stderr, and --slo-ms T counts every
+// response as slo.<op>.ok or slo.<op>.breach. The `stats` verb returns
+// the registry live as one key=value line, `metrics` as Prometheus text
+// ending in a literal `# EOF` line.
 //
 // The .ddg text format is documented in src/ddg/io.hpp; the batch request/
 // result protocol in src/service/protocol.hpp.
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -104,6 +75,7 @@
 #include "service/operation.hpp"
 #include "service/protocol.hpp"
 #include "service/serve.hpp"
+#include "service/session.hpp"
 #include "service/trace.hpp"
 #include "support/assert.hpp"
 #include "support/fs.hpp"
@@ -209,23 +181,25 @@ int cmd_analyze(int argc, char** argv) {
   rs::core::AnalyzeOptions opts;
   double budget = 30.0;  // seconds; 0 = no deadline
   bool want_stats = false;
-  for (int i = 3; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--engine") && i + 1 < argc) {
-      const std::string e = argv[++i];
-      if (e == "greedy") opts.engine = rs::core::RsEngine::Greedy;
-      else if (e == "exact") opts.engine = rs::core::RsEngine::ExactCombinatorial;
-      else if (e == "ilp") opts.engine = rs::core::RsEngine::ExactIlp;
-      else return usage();
-    } else if (!std::strcmp(argv[i], "--budget") && i + 1 < argc) {
-      try {
+  try {
+    for (int i = 3; i < argc; ++i) {
+      if (!std::strcmp(argv[i], "--engine") && i + 1 < argc) {
+        const std::string e = argv[++i];
+        if (e == "greedy") opts.engine = rs::core::RsEngine::Greedy;
+        else if (e == "exact") opts.engine = rs::core::RsEngine::ExactCombinatorial;
+        else if (e == "ilp") opts.engine = rs::core::RsEngine::ExactIlp;
+        else return usage();
+      } else if (!std::strcmp(argv[i], "--budget") && i + 1 < argc) {
         budget = parse_budget(argv[++i]);
-      } catch (const rs::support::PreconditionError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return usage();
+      } else if (!std::strcmp(argv[i], "--stats")) {
+        want_stats = true;
+      } else {
+        RS_REQUIRE(false, std::string("unknown analyze flag ") + argv[i]);
       }
-    } else if (!std::strcmp(argv[i], "--stats")) {
-      want_stats = true;
     }
+  } catch (const rs::support::PreconditionError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
   }
   const rs::ddg::Ddg dag = load(argv[2]);
   std::printf("%s: %d ops, %d arcs, critical path %lld\n",
@@ -253,28 +227,25 @@ int cmd_reduce(int argc, char** argv) {
   rs::core::PipelineOptions opts;
   double budget = 30.0;  // seconds; 0 = no deadline
   bool want_stats = false;
-  for (int i = 3; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--limits") && i + 1 < argc) {
-      try {
+  try {
+    for (int i = 3; i < argc; ++i) {
+      if (!std::strcmp(argv[i], "--limits") && i + 1 < argc) {
         limits = rs::support::parse_int_list(argv[++i], ',', "--limits");
-      } catch (const rs::support::PreconditionError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return usage();
-      }
-    } else if (!std::strcmp(argv[i], "--exact")) {
-      opts.exact_reduction = true;
-    } else if (!std::strcmp(argv[i], "--budget") && i + 1 < argc) {
-      try {
+      } else if (!std::strcmp(argv[i], "--exact")) {
+        opts.exact_reduction = true;
+      } else if (!std::strcmp(argv[i], "--budget") && i + 1 < argc) {
         budget = parse_budget(argv[++i]);
-      } catch (const rs::support::PreconditionError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return usage();
+      } else if (!std::strcmp(argv[i], "--stats")) {
+        want_stats = true;
+      } else if (!std::strcmp(argv[i], "-o") && i + 1 < argc) {
+        out_path = argv[++i];
+      } else {
+        RS_REQUIRE(false, std::string("unknown reduce flag ") + argv[i]);
       }
-    } else if (!std::strcmp(argv[i], "--stats")) {
-      want_stats = true;
-    } else if (!std::strcmp(argv[i], "-o") && i + 1 < argc) {
-      out_path = argv[++i];
     }
+  } catch (const rs::support::PreconditionError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
   }
   const rs::ddg::Ddg dag = load(argv[2]);
   if (static_cast<int>(limits.size()) != dag.type_count()) {
@@ -305,16 +276,22 @@ int cmd_reduce(int argc, char** argv) {
     return 1;
   }
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << rs::ddg::to_text(result.out);
+    if (!rs::support::write_file_atomic(out_path,
+                                        rs::ddg::to_text(result.out))) {
+      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
+      return 1;
+    }
     std::printf("wrote %s\n", out_path.c_str());
   }
   return 0;
 }
 
-volatile std::sig_atomic_t g_interrupted = 0;
+// Written by the SIGINT handler, read by other threads: a lock-free atomic
+// is async-signal-safe and, unlike a volatile flag, synchronizes them.
+std::atomic<bool> g_interrupted{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
-extern "C" void handle_sigint(int) { g_interrupted = 1; }
+extern "C" void handle_sigint(int) { g_interrupted.store(true); }
 
 /// Installs the SIGINT handler without SA_RESTART so a blocking stdin read
 /// returns (with EINTR) instead of resuming, letting the reader loop notice
@@ -348,9 +325,10 @@ void mask_sigint(bool block) {
 #endif
 }
 
-/// Shared by batch and serve: the hit-rate line split by store tier, plus
-/// the effective persistent-cache directory and its counters when enabled.
-void print_cache_summary(const rs::service::EngineStats& st,
+/// Shared by batch and serve: the hit-rate line split by store tier, the
+/// effective persistent-cache directory and its counters when enabled, the
+/// per-operation rows, and the latency quantiles.
+void print_engine_summary(const rs::service::EngineStats& st,
                          const std::string& cache_dir) {
   std::fprintf(stderr,
                "cache: %llu hits (%llu mem, %llu disk) + %llu coalesced / "
@@ -409,19 +387,69 @@ void print_cache_summary(const rs::service::EngineStats& st,
                  static_cast<unsigned long long>(op_misses),
                  static_cast<unsigned long long>(st.misses));
   }
+  std::fprintf(stderr,
+               "latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n",
+               st.p50_ms, st.p95_ms, st.p99_ms, st.max_ms);
+}
+
+/// Shared by batch and serve: one line per configured JSONL sink.
+void print_sink_summary(const rs::service::SessionHub& hub) {
+  for (const auto& [label, unit, sink] :
+       {std::tuple{"trace", "events", hub.trace_sink()},
+        std::tuple{"solve log", "records", hub.solve_log_sink()}}) {
+    if (sink == nullptr) continue;
+    std::fprintf(stderr, "%s: %llu %s to %s (%llu dropped)\n", label,
+                 static_cast<unsigned long long>(sink->written()), unit,
+                 sink->path().c_str(),
+                 static_cast<unsigned long long>(sink->dropped()));
+  }
 }
 
 /// --metrics-json: the whole registry (engine.*, op.*, store.*, pool.*, and
 /// serve.* when serving) as one JSON object, written atomically at exit.
+/// `announce` names the file on stderr after a successful write.
 void write_metrics_json(const rs::support::MetricsRegistry& metrics,
-                        const std::string& path) {
+                        const std::string& path, bool announce = true) {
   if (path.empty()) return;
   if (!rs::support::write_file_atomic(path, metrics.to_json() + "\n")) {
     std::fprintf(stderr, "warning: cannot write metrics json %s\n",
                  path.c_str());
-    return;
+  } else if (announce) {
+    std::fprintf(stderr, "metrics json: %s\n", path.c_str());
   }
-  std::fprintf(stderr, "metrics json: %s\n", path.c_str());
+}
+
+/// The flags batch and serve share. Consumes argv[i] (and its value) and
+/// returns true, or returns false when argv[i] is none of them.
+bool parse_stream_flag(int argc, char** argv, int& i,
+                       rs::service::EngineConfig& engine,
+                       rs::service::SessionConfig& session,
+                       std::string& metrics_json) {
+  const std::string flag = argv[i];
+  if (flag == "--vliw") {
+    session.protocol.default_model = rs::ddg::vliw_model();
+    return true;
+  }
+  if (i + 1 >= argc) return false;
+  const std::string value = argv[i + 1];
+  std::string* path = nullptr;
+  if (flag == "--cache-dir") path = &engine.cache_dir;
+  if (flag == "--trace-file") path = &session.trace_file;
+  if (flag == "--solve-log") path = &session.solve_log_file;
+  if (flag == "--metrics-json") path = &metrics_json;
+  if (path != nullptr) {
+    RS_REQUIRE(!value.empty(), flag + " must not be empty");
+    *path = value;
+  } else if (flag == "--threads" || flag == "--cache-mb") {
+    const int n = rs::support::parse_int(value, flag);
+    RS_REQUIRE(n >= 0, flag + " must be >= 0");
+    if (flag == "--threads") engine.threads = static_cast<std::size_t>(n);
+    else engine.cache.max_bytes = static_cast<std::size_t>(n) << 20;
+  } else {
+    return false;
+  }
+  ++i;
+  return true;
 }
 
 int cmd_serve(int argc, char** argv) {
@@ -430,6 +458,10 @@ int cmd_serve(int argc, char** argv) {
   double metrics_interval_s = 0;
   try {
     for (int i = 2; i < argc; ++i) {
+      if (parse_stream_flag(argc, argv, i, cfg.engine, cfg.session,
+                            metrics_json)) {
+        continue;
+      }
       if (!std::strcmp(argv[i], "--host") && i + 1 < argc) {
         cfg.host = argv[++i];
       } else if (!std::strcmp(argv[i], "--port") && i + 1 < argc) {
@@ -438,28 +470,6 @@ int cmd_serve(int argc, char** argv) {
                    "--port must be in [0, 65535]");
       } else if (!std::strcmp(argv[i], "--port-file") && i + 1 < argc) {
         cfg.port_file = argv[++i];
-      } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-        const int threads = rs::support::parse_int(argv[++i], "--threads");
-        RS_REQUIRE(threads >= 0, "--threads must be >= 0");
-        cfg.engine.threads = static_cast<std::size_t>(threads);
-      } else if (!std::strcmp(argv[i], "--cache-mb") && i + 1 < argc) {
-        const int mb = rs::support::parse_int(argv[++i], "--cache-mb");
-        RS_REQUIRE(mb >= 0, "--cache-mb must be >= 0");
-        cfg.engine.cache.max_bytes = static_cast<std::size_t>(mb) << 20;
-      } else if (!std::strcmp(argv[i], "--cache-dir") && i + 1 < argc) {
-        cfg.engine.cache_dir = argv[++i];
-        RS_REQUIRE(!cfg.engine.cache_dir.empty(),
-                   "--cache-dir must not be empty");
-      } else if (!std::strcmp(argv[i], "--trace-file") && i + 1 < argc) {
-        cfg.trace_file = argv[++i];
-        RS_REQUIRE(!cfg.trace_file.empty(), "--trace-file must not be empty");
-      } else if (!std::strcmp(argv[i], "--solve-log") && i + 1 < argc) {
-        cfg.solve_log_file = argv[++i];
-        RS_REQUIRE(!cfg.solve_log_file.empty(),
-                   "--solve-log must not be empty");
-      } else if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
-        metrics_json = argv[++i];
-        RS_REQUIRE(!metrics_json.empty(), "--metrics-json must not be empty");
       } else if (!std::strcmp(argv[i], "--metrics-interval-s") &&
                  i + 1 < argc) {
         metrics_interval_s = rs::support::parse_budget_seconds(
@@ -467,12 +477,12 @@ int cmd_serve(int argc, char** argv) {
         RS_REQUIRE(metrics_interval_s > 0,
                    "--metrics-interval-s must be > 0");
       } else if (!std::strcmp(argv[i], "--slow-ms") && i + 1 < argc) {
-        cfg.slow_ms = rs::support::parse_budget_seconds(argv[++i], "--slow-ms");
+        cfg.session.slow_ms =
+            rs::support::parse_budget_seconds(argv[++i], "--slow-ms");
       } else if (!std::strcmp(argv[i], "--slo-ms") && i + 1 < argc) {
-        cfg.slo_ms = rs::support::parse_budget_seconds(argv[++i], "--slo-ms");
-        RS_REQUIRE(cfg.slo_ms > 0, "--slo-ms must be > 0");
-      } else if (!std::strcmp(argv[i], "--vliw")) {
-        cfg.protocol.default_model = rs::ddg::vliw_model();
+        cfg.session.slo_ms =
+            rs::support::parse_budget_seconds(argv[++i], "--slo-ms");
+        RS_REQUIRE(cfg.session.slo_ms > 0, "--slo-ms must be > 0");
       } else {
         RS_REQUIRE(false, std::string("unknown serve flag ") + argv[i]);
       }
@@ -509,11 +519,7 @@ int cmd_serve(int argc, char** argv) {
         since_write_s += 0.1;
         if (since_write_s + 1e-9 < metrics_interval_s) continue;
         since_write_s = 0;
-        if (!rs::support::write_file_atomic(
-                metrics_json, server.engine().metrics().to_json() + "\n")) {
-          std::fprintf(stderr, "warning: cannot write metrics json %s\n",
-                       metrics_json.c_str());
-        }
+        write_metrics_json(server.engine().metrics(), metrics_json, false);
       }
     });
   }
@@ -527,7 +533,7 @@ int cmd_serve(int argc, char** argv) {
   std::fflush(stderr);
 
   const rs::support::Timer wall;
-  server.run([] { return g_interrupted != 0; });
+  server.run([] { return g_interrupted.load(); });
   snapshot_stop.store(true);
   if (snapshot_thread.joinable()) snapshot_thread.join();
 
@@ -541,60 +547,25 @@ int cmd_serve(int argc, char** argv) {
                static_cast<unsigned long long>(ss.responses),
                static_cast<unsigned long long>(ss.parse_errors),
                g_interrupted ? " [interrupted, drained]" : "");
-  print_cache_summary(st, cfg.engine.cache_dir);
-  std::fprintf(stderr,
-               "latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n",
-               st.p50_ms, st.p95_ms, st.p99_ms, st.max_ms);
+  print_engine_summary(st, cfg.engine.cache_dir);
   std::fprintf(stderr, "wall: %.3f s, %zu threads\n", wall.seconds(),
                server.engine().thread_count());
-  if (const rs::service::TraceSink* sink = server.trace_sink()) {
-    std::fprintf(stderr, "trace: %llu events to %s (%llu dropped)\n",
-                 static_cast<unsigned long long>(sink->written()),
-                 sink->path().c_str(),
-                 static_cast<unsigned long long>(sink->dropped()));
-  }
-  if (const rs::service::TraceSink* sink = server.solve_log_sink()) {
-    std::fprintf(stderr, "solve log: %llu records to %s (%llu dropped)\n",
-                 static_cast<unsigned long long>(sink->written()),
-                 sink->path().c_str(),
-                 static_cast<unsigned long long>(sink->dropped()));
-  }
+  print_sink_summary(server.hub());
   write_metrics_json(server.engine().metrics(), metrics_json);
   return 0;
 }
 
 int cmd_batch(int argc, char** argv) {
   std::string manifest_path;
-  std::string trace_file;
-  std::string solve_log_file;
   std::string metrics_json;
   rs::service::EngineConfig cfg;
-  rs::service::ProtocolOptions popts;
+  rs::service::SessionConfig scfg;
   try {
     for (int i = 2; i < argc; ++i) {
-      if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-        const int threads = rs::support::parse_int(argv[++i], "--threads");
-        RS_REQUIRE(threads >= 0, "--threads must be >= 0");
-        cfg.threads = static_cast<std::size_t>(threads);
-      } else if (!std::strcmp(argv[i], "--cache-mb") && i + 1 < argc) {
-        const int mb = rs::support::parse_int(argv[++i], "--cache-mb");
-        RS_REQUIRE(mb >= 0, "--cache-mb must be >= 0");
-        cfg.cache.max_bytes = static_cast<std::size_t>(mb) << 20;
-      } else if (!std::strcmp(argv[i], "--cache-dir") && i + 1 < argc) {
-        cfg.cache_dir = argv[++i];
-        RS_REQUIRE(!cfg.cache_dir.empty(), "--cache-dir must not be empty");
-      } else if (!std::strcmp(argv[i], "--trace-file") && i + 1 < argc) {
-        trace_file = argv[++i];
-        RS_REQUIRE(!trace_file.empty(), "--trace-file must not be empty");
-      } else if (!std::strcmp(argv[i], "--solve-log") && i + 1 < argc) {
-        solve_log_file = argv[++i];
-        RS_REQUIRE(!solve_log_file.empty(), "--solve-log must not be empty");
-      } else if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
-        metrics_json = argv[++i];
-        RS_REQUIRE(!metrics_json.empty(), "--metrics-json must not be empty");
-      } else if (!std::strcmp(argv[i], "--vliw")) {
-        popts.default_model = rs::ddg::vliw_model();
-      } else if (argv[i][0] == '-') {
+      if (parse_stream_flag(argc, argv, i, cfg, scfg, metrics_json)) {
+        continue;
+      }
+      if (argv[i][0] == '-') {
         RS_REQUIRE(false, std::string("unknown batch flag ") + argv[i]);
       } else if (manifest_path.empty()) {
         manifest_path = argv[i];
@@ -620,25 +591,9 @@ int cmd_batch(int argc, char** argv) {
   install_sigint_handler();
   mask_sigint(true);  // unmasked again after every helper thread exists
 
-  // Tracing asks the engine to carry a span on every Response; the printer
-  // (which renders the result line, the last phase of a request's life)
-  // stamps encode_ms/bytes and hands the span to the sink.
-  cfg.trace = !trace_file.empty();
-  std::unique_ptr<rs::service::TraceSink> trace_sink;
-  if (cfg.trace) {
-    rs::service::TraceSink::Config tc;
-    tc.path = trace_file;
-    trace_sink = std::make_unique<rs::service::TraceSink>(tc);
-  }
-  // The solve log shares the sink machinery: one pre-rendered JSONL record
-  // per request, written by the printer at delivery time.
-  cfg.solve_log = !solve_log_file.empty();
-  std::unique_ptr<rs::service::TraceSink> solve_log_sink;
-  if (cfg.solve_log) {
-    solve_log_sink = std::make_unique<rs::service::TraceSink>(solve_log_file);
-  }
-
-  rs::service::AnalysisEngine engine(cfg);
+  rs::service::SessionHub hub(cfg, scfg);
+  rs::service::AnalysisEngine& engine = hub.engine();
+  rs::service::Session session(hub);
   const rs::support::Timer wall;
 
   // The reader loop only observes g_interrupted between lines, so a SIGINT
@@ -658,137 +613,32 @@ int cmd_batch(int argc, char** argv) {
     }
   });
 
-  // One slot per request line: either a pre-rendered line (parse error or a
-  // cancel/drain ack) or a pending response. A dedicated printer thread
-  // emits result lines in request order as soon as each future resolves, so
-  // a co-process driving stdin interactively sees its result without
-  // waiting for EOF.
-  struct Slot {
-    std::string pre;
-    bool stats = false;    // render a fresh stats snapshot at emission time
-    bool metrics = false;  // render the Prometheus exposition at emission
-    std::future<rs::service::Response> fut;
-  };
-  // Backpressure: each outstanding slot holds a parsed Request (with its
-  // DDG) until printed, so cap how far the reader runs ahead of execution.
-  constexpr std::size_t kMaxPending = 256;
-  std::deque<Slot> pending;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool submitted_all = false;
-  // Printer-owned tallies. Cancelled/timed-out responses count as ok (they
-  // carry valid witnessed bounds) and are additionally tallied by cause.
-  // Parse errors are reader-owned (parse_errors) and merged after join.
-  std::uint64_t total = 0, ok = 0, failed = 0, parse_errors = 0;
-  std::uint64_t cancelled = 0, timed_out = 0;
-
+  // The printer blocks on the session's front slot and prints each line
+  // the moment its response resolves, so a co-process driving stdin
+  // interactively sees its result without waiting for EOF.
+  std::uint64_t cancelled = 0, timed_out = 0;  // printer-owned until join
   std::thread printer([&] {
+    std::string out;
     for (;;) {
-      Slot slot;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return !pending.empty() || submitted_all; });
-        if (pending.empty()) return;
-        slot = std::move(pending.front());
-        pending.pop_front();
-        cv.notify_all();  // wake the reader if it hit the pending cap
-      }
-      if (slot.stats) {
-        // Rendered here, not at parse time: emission order means every
-        // request ahead of this line in the stream has already been printed,
-        // so the snapshot reflects at least all of them as completed.
-        std::puts(rs::service::render_stats_line(engine.stats()).c_str());
-      } else if (slot.metrics) {
-        // Multi-line body, framed by its terminating "# EOF" line.
-        std::fputs(engine.metrics().to_prometheus().c_str(), stdout);
-      } else if (!slot.pre.empty()) {
-        std::puts(slot.pre.c_str());
-      } else {
-        const rs::service::Response resp = slot.fut.get();
-        (resp.payload->ok ? ok : failed)++;
-        if (resp.payload->ok) {
-          switch (resp.payload->stats.stop) {
-            case rs::support::StopCause::Cancelled: ++cancelled; break;
-            case rs::support::StopCause::TimedOut: ++timed_out; break;
-            default: break;
-          }
-        }
-        const rs::support::Timer encode;
-        const std::string out_line = rs::service::render_response(resp);
-        if (trace_sink != nullptr && resp.trace != nullptr) {
-          resp.trace->encode_ms = encode.millis();
-          resp.trace->bytes = out_line.size() + 1;  // + '\n'
-          trace_sink->write(*resp.trace);
-        }
-        if (solve_log_sink != nullptr && resp.solve_log != nullptr) {
-          solve_log_sink->write_line(rs::service::render_solve_log_json(
-              *resp.solve_log, rs::support::unix_now_seconds()));
-        }
-        std::puts(out_line.c_str());
-      }
+      const rs::service::Emitted emitted = session.emit(&out, true);
+      if (emitted.lines == 0) break;
+      cancelled += emitted.cancelled;
+      timed_out += emitted.timed_out;
+      std::fputs(out.c_str(), stdout);
       std::fflush(stdout);
+      out.clear();
     }
   });
 
   mask_sigint(false);  // all helper threads spawned; deliver to main only
 
-  auto push_slot = [&](Slot slot) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return pending.size() < kMaxPending; });
-      pending.push_back(std::move(slot));
-    }
-    cv.notify_all();
-  };
-
   std::string line;
-  int lineno = 0;
-  std::uint64_t next_id = 1;
+  std::uint64_t parse_errors = 0;
   while (!g_interrupted && std::getline(in, line)) {
-    ++lineno;
-    if (rs::service::is_blank_or_comment(line)) continue;
-    Slot slot;
-    bool counts = true;  // control-verb acks are not requests
-    try {
-      const rs::support::Timer parse;
-      rs::service::Command cmd =
-          rs::service::parse_command_line(line, next_id, popts);
-      switch (cmd.kind) {
-        case rs::service::CommandKind::Submit:
-          ++next_id;
-          cmd.request.parse_ms = parse.millis();
-          slot.fut = engine.submit(std::move(cmd.request));
-          break;
-        case rs::service::CommandKind::Cancel:
-          slot.pre = rs::service::render_cancel_ack(
-              cmd.cancel_id, engine.cancel(cmd.cancel_id));
-          counts = false;
-          break;
-        case rs::service::CommandKind::Drain:
-          // Block further reading until everything submitted so far has
-          // completed; the printer drains concurrently.
-          engine.wait_idle();
-          slot.pre = rs::service::render_drain_ack();
-          counts = false;
-          break;
-        case rs::service::CommandKind::Stats:
-          slot.stats = true;  // printer snapshots the registry at emission
-          counts = false;
-          break;
-        case rs::service::CommandKind::Metrics:
-          slot.metrics = true;  // printer renders the exposition at emission
-          counts = false;
-          break;
-      }
-    } catch (const std::exception& e) {
-      std::ostringstream os;
-      os << "result id=" << next_id++ << " status=error name=line" << lineno
-         << " msg=" << rs::service::escape_field(e.what());
-      slot.pre = os.str();
-      ++parse_errors;  // printer never inspects pre-rendered slots
+    // feed() waits out the slot cap and any drain not yet answered.
+    if (session.feed(std::move(line)) == rs::service::LineKind::Error) {
+      ++parse_errors;
     }
-    if (counts) ++total;
-    push_slot(std::move(slot));
   }
   if (g_interrupted) {
     // Drain-then-summarize: cancel every in-flight solve cooperatively and
@@ -798,52 +648,37 @@ int cmd_batch(int argc, char** argv) {
     engine.cancel_all();
     engine.wait_idle();
   }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    submitted_all = true;
-  }
-  cv.notify_all();
+  session.close();
   printer.join();
   watcher_done.store(true);
   sigint_watcher.join();
-  failed += parse_errors;
-  if (trace_sink != nullptr) trace_sink->flush();
-  if (solve_log_sink != nullptr) solve_log_sink->flush();
 
+  // The engine served this one stream, so its counters are the batch's:
+  // cancelled and timed-out responses count as ok (they carry witnessed
+  // bounds) and again by cause, once per result line; parse errors never
+  // reached the engine.
+  const double wall_s = wall.seconds();
+  const rs::service::EngineStats st = engine.stats();
+  const std::uint64_t total = st.submitted + parse_errors;
+  const std::uint64_t failed = st.errors + parse_errors;
   if (total == 0) {
     std::fprintf(stderr, "batch: 0 requests\n");
     write_metrics_json(engine.metrics(), metrics_json);
     return 0;
   }
-  const double wall_s = wall.seconds();
-  const rs::service::EngineStats st = engine.stats();
   std::fprintf(stderr,
                "batch: %llu requests, %llu ok, %llu error "
                "(%llu cancelled, %llu timed out)%s\n",
                static_cast<unsigned long long>(total),
-               static_cast<unsigned long long>(ok),
+               static_cast<unsigned long long>(st.completed - st.errors),
                static_cast<unsigned long long>(failed),
                static_cast<unsigned long long>(cancelled),
                static_cast<unsigned long long>(timed_out),
                g_interrupted ? " [interrupted, drained]" : "");
-  print_cache_summary(st, cfg.cache_dir);
-  std::fprintf(stderr,
-               "latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n",
-               st.p50_ms, st.p95_ms, st.p99_ms, st.max_ms);
+  print_engine_summary(st, cfg.cache_dir);
   std::fprintf(stderr, "wall: %.3f s (%.1f req/s), %zu threads\n", wall_s,
                static_cast<double>(total) / wall_s, engine.thread_count());
-  if (trace_sink != nullptr) {
-    std::fprintf(stderr, "trace: %llu events to %s (%llu dropped)\n",
-                 static_cast<unsigned long long>(trace_sink->written()),
-                 trace_sink->path().c_str(),
-                 static_cast<unsigned long long>(trace_sink->dropped()));
-  }
-  if (solve_log_sink != nullptr) {
-    std::fprintf(stderr, "solve log: %llu records to %s (%llu dropped)\n",
-                 static_cast<unsigned long long>(solve_log_sink->written()),
-                 solve_log_sink->path().c_str(),
-                 static_cast<unsigned long long>(solve_log_sink->dropped()));
-  }
+  print_sink_summary(hub);
   write_metrics_json(engine.metrics(), metrics_json);
   if (g_interrupted) return 0;  // drained cleanly after Ctrl-C
   return failed == 0 ? 0 : 1;
